@@ -158,116 +158,15 @@ let run_micro fmt =
     (micro_tests ());
   List.sort (fun (a, _) (b, _) -> String.compare a b) !rows
 
-(* ---------- BENCH.json raw-value scanning ---------- *)
+(* ---------- BENCH.json ---------- *)
 
-(* BENCH.json is self-written single-line JSON, so a string-literal-aware
-   bracket scan is enough to lift (or splice) a key's raw value from the
-   previous run — no JSON parser in the tree, and none needed.
-   [find_raw] locates the value of ["key":] at nesting depth 1 of [text]
-   (so it works both on the whole document and on an extracted object)
-   and returns its byte extent. *)
-let find_raw ~key text =
-  let needle = Printf.sprintf "\"%s\":" key in
-  let n = String.length text in
-  let len = String.length needle in
-  let pos = ref (-1) in
-  let depth = ref 0 and in_str = ref false and esc = ref false in
-  let i = ref 0 in
-  while !pos < 0 && !i < n do
-    let c = text.[!i] in
-    if !in_str then begin
-      if !esc then esc := false
-      else if c = '\\' then esc := true
-      else if c = '"' then in_str := false
-    end
-    else begin
-      match c with
-      | '{' | '[' -> incr depth
-      | '}' | ']' -> decr depth
-      | '"' ->
-          if !depth = 1 && !i + len <= n && String.sub text !i len = needle
-          then pos := !i + len
-          else in_str := true
-      | _ -> ()
-    end;
-    incr i
-  done;
-  if !pos < 0 then None
-  else begin
-    let start = !pos in
-    let j = ref start and d = ref 0 in
-    let in_str = ref false and esc = ref false in
-    let stop = ref (-1) in
-    while !stop < 0 && !j < n do
-      let c = text.[!j] in
-      if !in_str then begin
-        if !esc then esc := false
-        else if c = '\\' then esc := true
-        else if c = '"' then in_str := false
-      end
-      else begin
-        match c with
-        | '{' | '[' -> incr d
-        | '}' | ']' -> if !d = 0 then stop := !j else decr d
-        | ',' -> if !d = 0 then stop := !j
-        | '"' -> in_str := true
-        | _ -> ()
-      end;
-      if !stop < 0 then incr j
-    done;
-    let stop = if !stop < 0 then n else !stop in
-    Some (start, stop)
-  end
+module J = Mbac_telemetry.Json_parse
 
-let extract_raw ~key text =
-  match find_raw ~key text with
-  | None -> None
-  | Some (start, stop) ->
-      Some (String.trim (String.sub text start (stop - start)))
-
-(* Replace the raw value of [key] in an object string; identity when the
-   key is absent. *)
-let set_raw ~key ~value text =
-  match find_raw ~key text with
-  | None -> text
-  | Some (start, stop) ->
-      String.concat ""
-        [ String.sub text 0 start; value;
-          String.sub text stop (String.length text - stop) ]
-
-(* split a raw array body at top-level commas *)
-let split_top text =
-  let n = String.length text in
-  let items = ref [] in
-  let start = ref 0 in
-  let d = ref 0 and in_str = ref false and esc = ref false in
-  for i = 0 to n - 1 do
-    let c = text.[i] in
-    if !in_str then begin
-      if !esc then esc := false
-      else if c = '\\' then esc := true
-      else if c = '"' then in_str := false
-    end
-    else
-      match c with
-      | '{' | '[' -> incr d
-      | '}' | ']' -> decr d
-      | '"' -> in_str := true
-      | ',' when !d = 0 ->
-          items := String.sub text !start (i - !start) :: !items;
-          start := i + 1
-      | _ -> ()
-  done;
-  if !start < n then items := String.sub text !start (n - !start) :: !items;
-  (* [!items] is consed in reverse scan order; [rev_map] restores it.
-     (A former extra [List.rev] here returned the items reversed, which
-     silently flipped the BENCH.json history on every run — the order
-     of pre-existing entries in the file reflects that.) *)
-  List.rev_map String.trim !items |> List.filter (fun s -> s <> "")
-
-let read_file path =
-  try Some (In_channel.with_open_text path In_channel.input_all)
-  with Sys_error _ -> None
+(* The previous BENCH.json, parsed; [None] when absent or unreadable. *)
+let read_bench path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> Result.to_option (J.parse text)
+  | exception Sys_error _ -> None
 
 (* ---------- Hot-path gate (--hotpath) ---------- *)
 
@@ -294,29 +193,20 @@ let seed_baseline =
     b_eqn37_adaptive_per_sec = 41_000.0 }
 
 let load_baseline ~json_path =
-  let field obj_text key dflt =
-    match extract_raw ~key obj_text with
-    | Some v -> (
-        match float_of_string_opt v with Some x -> x | None -> dflt)
-    | None -> dflt
+  let baseline =
+    Option.bind (read_bench json_path) (fun doc ->
+        Option.bind (J.member "hotpath" doc) (J.member "baseline"))
   in
-  match read_file json_path with
-  | None -> seed_baseline
-  | Some text -> (
-      match extract_raw ~key:"hotpath" text with
-      | None | Some "null" -> seed_baseline
-      | Some hp -> (
-          match extract_raw ~key:"baseline" hp with
-          | None | Some "null" -> seed_baseline
-          | Some b ->
-              { b_events_per_sec =
-                  field b "events_per_sec" seed_baseline.b_events_per_sec;
-                b_minor_words_per_event =
-                  field b "minor_words_per_event"
-                    seed_baseline.b_minor_words_per_event;
-                b_eqn37_adaptive_per_sec =
-                  field b "eqn37_adaptive_per_sec"
-                    seed_baseline.b_eqn37_adaptive_per_sec }))
+  let field key dflt =
+    match Option.bind baseline (J.member key) with
+    | Some (J.Num x) -> x
+    | Some _ | None -> dflt
+  in
+  { b_events_per_sec = field "events_per_sec" seed_baseline.b_events_per_sec;
+    b_minor_words_per_event =
+      field "minor_words_per_event" seed_baseline.b_minor_words_per_event;
+    b_eqn37_adaptive_per_sec =
+      field "eqn37_adaptive_per_sec" seed_baseline.b_eqn37_adaptive_per_sec }
 
 let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
@@ -1226,8 +1116,7 @@ let run_network fmt ~toy =
 (* ---------- BENCH.json ---------- *)
 
 (* Sections a given invocation does not re-measure (e.g. micro when only
-   --rare ran) are carried forward from the previous file via the raw
-   scanners above, and every run appends a summary line to the "history"
+   --rare ran) are carried forward from the previous file, and every run appends a summary line to the "history"
    array, keyed by git describe + profile, so the performance trajectory
    accumulates across commits. *)
 
@@ -1255,11 +1144,11 @@ let history_keys =
     "network_events_per_sec" ]
 
 let merge_history_entries ~prev ~entry =
-  Mbac_telemetry.Json.obj
+  J.Obj
     (List.filter_map
        (fun key ->
-         match (extract_raw ~key entry, extract_raw ~key prev) with
-         | Some v, _ when v <> "null" -> Some (key, v)
+         match (J.member key entry, J.member key prev) with
+         | Some v, _ when v <> J.Null -> Some (key, v)
          | _, Some v -> Some (key, v)
          | Some v, None -> Some (key, v)
          | None, None -> None)
@@ -1269,15 +1158,14 @@ let write_bench_json ~path ~profile ~repro_ns ~micro ~scaling ~hotpath ~rare
     ~serve ~network =
   let open Mbac_telemetry.Json in
   let fnan v = if Float.is_nan v then "null" else float v in
-  let previous = read_file path in
+  let previous = read_bench path in
   let carry key rendered =
     match rendered with
     | Some j -> j
     | None -> (
-        match previous with
-        | None -> "null"
-        | Some text -> (
-            match extract_raw ~key text with Some v -> v | None -> "null"))
+        match Option.bind previous (J.member key) with
+        | Some v -> J.to_json v
+        | None -> "null")
   in
   let hotpath_json =
     match hotpath with
@@ -1427,16 +1315,9 @@ let write_bench_json ~path ~profile ~repro_ns ~micro ~scaling ~hotpath ~rare
   in
   let history_json =
     let prev_items =
-      match previous with
-      | None -> []
-      | Some text -> (
-          match extract_raw ~key:"history" text with
-          | Some raw
-            when String.length raw >= 2
-                 && raw.[0] = '['
-                 && raw.[String.length raw - 1] = ']' ->
-              split_top (String.sub raw 1 (String.length raw - 2))
-          | Some _ | None -> [])
+      match Option.bind previous (J.member "history") with
+      | Some (J.List items) -> items
+      | Some _ | None -> []
     in
     (* Carry hotpath_events_per_sec through entries that did not
        re-measure it, like micro/scaling carry at the section level:
@@ -1447,23 +1328,25 @@ let write_bench_json ~path ~profile ~repro_ns ~micro ~scaling ~hotpath ~rare
     let seed_hotpath_events_per_sec = 3.84e6 in
     let last_hp = ref seed_hotpath_events_per_sec in
     let prev_items =
-      List.rev
-        (List.fold_left
-           (fun acc item ->
-             let item =
-               match extract_raw ~key:"hotpath_events_per_sec" item with
-               | Some "null" ->
-                   set_raw ~key:"hotpath_events_per_sec"
-                     ~value:(float !last_hp) item
-               | Some v ->
-                   (match float_of_string_opt v with
-                   | Some x -> last_hp := x
-                   | None -> ());
-                   item
-               | None -> item
-             in
-             item :: acc)
-           [] prev_items)
+      List.map
+        (fun item ->
+          match item with
+          | J.Obj fields -> (
+              match List.assoc_opt "hotpath_events_per_sec" fields with
+              | Some J.Null ->
+                  J.Obj
+                    (List.map
+                       (fun (k, v) ->
+                         if k = "hotpath_events_per_sec" then
+                           (k, J.Num !last_hp)
+                         else (k, v))
+                       fields)
+              | Some (J.Num x) ->
+                  last_hp := x;
+                  item
+              | Some _ | None -> item)
+          | _ -> item)
+        prev_items
     in
     let entry =
       obj
@@ -1514,7 +1397,10 @@ let write_bench_json ~path ~profile ~repro_ns ~micro ~scaling ~hotpath ~rare
            | None -> "null")
         ]
     in
-    let same key a b = extract_raw ~key a = extract_raw ~key b in
+    let entry =
+      match J.parse entry with Ok e -> e | Error e -> failwith e
+    in
+    let same key a b = J.member key a = J.member key b in
     let items =
       match List.rev prev_items with
       | prev :: older
@@ -1523,8 +1409,11 @@ let write_bench_json ~path ~profile ~repro_ns ~micro ~scaling ~hotpath ~rare
       | _ -> prev_items @ [ entry ]
     in
     let n = List.length items in
-    arr (if n > history_cap then List.filteri (fun i _ -> i >= n - history_cap) items
-         else items)
+    arr
+      (List.map J.to_json
+         (if n > history_cap then
+            List.filteri (fun i _ -> i >= n - history_cap) items
+          else items))
   in
   let doc =
     obj

@@ -313,6 +313,11 @@ let run_network topo_spec topo_file shards controller_name source_kind n mu
   | Ok _ when jobs < 1 -> Error "--jobs must be >= 1"
   | Ok _ when tele.Mbac_telemetry_cli.Flags.trace_sample < 1 ->
       Error "--trace-sample must be >= 1"
+  | Ok _ when tele.Mbac_telemetry_cli.Flags.series_out <> None ->
+      Error
+        "--series-out is not supported by mbac_sim network: the network \
+         simulator records no per-link time series (use --metrics-out \
+         for its run totals)"
   | Ok _
     when not
            (Float.is_finite tele.Mbac_telemetry_cli.Flags.series_interval

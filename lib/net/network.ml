@@ -1,5 +1,7 @@
 module CQ = Mbac_sim.Calendar_queue
+module Link = Mbac_sim.Link
 module Meas = Mbac_sim.Measurement
+module Slots = Mbac_sim.Slots
 module Handle = Mbac_telemetry.Metrics.Handle
 
 type config = {
@@ -118,34 +120,14 @@ let g_shards = Handle.gauge "net_shards"
 
 (* ---------- per-link state ---------- *)
 
-type link_hot = {
-  mutable last_t : float;
-  mutable sum_rate : float;
-  mutable sum_sq : float;
-  mutable ovf_start : float; (* nan when not in an episode *)
-  mutable ovf_excess : float;
-  mutable ovf_time : float;
-}
-
+(* The link's load, slot table and overflow episodes live in [l_load];
+   [l_tab] maps a flow key to its slot there. *)
 type link_state = {
   l_id : int;
-  l_capacity : float;
   l_ctrl : Mbac.Controller.t;
-  l_meas : Meas.t;
+  l_load : Link.t;
   l_tab : Int_table.t;
-  mutable l_granted : Float.Array.t;
-  mutable l_key : int array; (* slot -> flow key, -1 when free *)
-  mutable l_free : int array;
-  mutable l_free_top : int;
-  mutable l_limit : int;
-  l_hot : link_hot;
-  mutable l_n : int;
-  mutable l_reserved : int;
   mutable l_blocked : int;
-  mutable l_released : int;
-  mutable l_updates : int;
-  mutable l_ovf_episodes : int;
-  mutable l_events : int;
 }
 
 type shard = {
@@ -157,16 +139,14 @@ type shard = {
   sr_rng : Mbac_stats.Rng.t array;
   sr_arrival_mean : float array;
   sr_seq : int array; (* per-route admitted-at-ingress counter *)
-  (* ingress flow table (SoA, slot-indexed, free stack) *)
+  (* ingress flow table (SoA, slot-indexed) *)
+  f_slots : Slots.t;
   mutable f_route : int array;
   mutable f_seq : int array;
   mutable f_gen : int array;
-  mutable f_estab : int array;
   mutable f_sources : Mbac_traffic.Source.t option array;
-  mutable f_free : int array;
-  mutable f_free_top : int;
-  mutable f_limit : int;
   (* arena of pending message events (wheel payloads are ints) *)
+  a_slots : Slots.t;
   mutable a_kind : int array;
   mutable a_link : int array;
   mutable a_hop : int array;
@@ -176,9 +156,6 @@ type shard = {
   mutable a_igen : int array;
   mutable a_rate : Float.Array.t;
   mutable a_tend : Float.Array.t;
-  mutable a_free : int array;
-  mutable a_free_top : int;
-  mutable a_limit : int;
   mutable sh_events : int;
   mutable sh_admitted : int;
   mutable sh_blocked : int;
@@ -197,218 +174,82 @@ type engine = {
   mutable windows : int;
 }
 
-(* ---------- link slot table ---------- *)
+(* ---------- link reservations ---------- *)
 
-let grow_link_table l =
-  let cap = Array.length l.l_key in
-  let ncap = if cap = 0 then 1024 else 2 * cap in
-  let granted = Float.Array.create ncap in
-  Float.Array.blit l.l_granted 0 granted 0 cap;
-  let key = Array.make ncap (-1) in
-  Array.blit l.l_key 0 key 0 cap;
-  l.l_granted <- granted;
-  l.l_key <- key
+(* The controller calls around the link's slot operations are
+   [Continuous_load]'s: the decision observes the link first, an
+   admission and a release are observed and reported, a renegotiation
+   observed. *)
 
-let link_alloc_slot l =
-  if l.l_free_top > 0 then begin
-    l.l_free_top <- l.l_free_top - 1;
-    l.l_free.(l.l_free_top)
-  end
-  else begin
-    if l.l_limit = Array.length l.l_key then grow_link_table l;
-    let slot = l.l_limit in
-    l.l_limit <- slot + 1;
-    slot
-  end
+let admits eng l =
+  let obs = Link.observation l.l_load in
+  Mbac.Controller.observe l.l_ctrl obs;
+  let m = Mbac.Controller.admissible l.l_ctrl obs in
+  let n = Link.n l.l_load in
+  if n < m && n < eng.cfg.max_flows_per_link then Some obs else None
 
-let link_free_slot l slot =
-  l.l_key.(slot) <- -1;
-  if l.l_free_top = Array.length l.l_free then begin
-    let ncap = max 1024 (2 * Array.length l.l_free) in
-    let free = Array.make ncap 0 in
-    Array.blit l.l_free 0 free 0 l.l_free_top;
-    l.l_free <- free
-  end;
-  l.l_free.(l.l_free_top) <- slot;
-  l.l_free_top <- l.l_free_top + 1
+let reserve l obs ~key ~rate =
+  Int_table.add l.l_tab ~key ~value:(Link.reserve l.l_load ~rate);
+  let obs' = Mbac.Observation.admit obs ~rate in
+  Mbac.Controller.observe l.l_ctrl obs';
+  Mbac.Controller.on_admit l.l_ctrl obs'
 
-let[@inline] link_obs l ~now =
-  Mbac.Observation.make ~now ~n:l.l_n ~sum_rate:l.l_hot.sum_rate
-    ~sum_sq:l.l_hot.sum_sq
-
-(* Same arithmetic, same slot-scan order as [Continuous_load.resync_sums]
-   — and triggered by the link's own event count, which is invariant
-   under resharding, so the (harmlessly different) post-resync bits land
-   at the same virtual instant for every shard count. *)
-let resync_link l =
-  let sum = ref 0.0 and sq = ref 0.0 in
-  for slot = 0 to l.l_limit - 1 do
-    if Array.unsafe_get l.l_key slot >= 0 then begin
-      let g = Float.Array.unsafe_get l.l_granted slot in
-      sum := !sum +. g;
-      sq := !sq +. (g *. g)
-    end
-  done;
-  l.l_hot.sum_rate <- !sum;
-  l.l_hot.sum_sq <- !sq
-
-(* Reserve one flow of [rate] on the link: the float updates are the
-   exact expressions of [Continuous_load.admit_one]. *)
-let reserve l ~key ~rate =
-  let slot = link_alloc_slot l in
-  Float.Array.set l.l_granted slot rate;
-  l.l_key.(slot) <- key;
-  Int_table.add l.l_tab ~key ~value:slot;
-  l.l_n <- l.l_n + 1;
-  l.l_hot.sum_rate <- l.l_hot.sum_rate +. rate;
-  l.l_hot.sum_sq <- l.l_hot.sum_sq +. (rate *. rate);
-  l.l_reserved <- l.l_reserved + 1
-
-(* Release a reservation, notifying the controller like
-   [Continuous_load.handle_depart] (observe + on_depart, zero-residue
-   reset when the link empties). *)
-let release l ~now ~slot =
-  let key = l.l_key.(slot) in
-  let g = Float.Array.get l.l_granted slot in
+let release l ~key ~slot =
   Int_table.remove l.l_tab ~key;
-  link_free_slot l slot;
-  l.l_n <- l.l_n - 1;
-  l.l_hot.sum_rate <- l.l_hot.sum_rate -. g;
-  l.l_hot.sum_sq <- l.l_hot.sum_sq -. (g *. g);
-  if l.l_n = 0 then begin
-    l.l_hot.sum_rate <- 0.0;
-    l.l_hot.sum_sq <- 0.0
-  end;
-  l.l_released <- l.l_released + 1;
-  let obs = link_obs l ~now in
+  Link.release l.l_load slot;
+  let obs = Link.observation l.l_load in
   Mbac.Controller.observe l.l_ctrl obs;
   Mbac.Controller.on_depart l.l_ctrl obs
 
-(* Apply a renegotiated rate: the float updates are the exact
-   expressions of [Continuous_load.handle_change]. *)
-let apply_update l ~now ~slot ~desired =
-  let old = Float.Array.get l.l_granted slot in
-  l.l_updates <- l.l_updates + 1;
-  Float.Array.set l.l_granted slot desired;
-  l.l_hot.sum_rate <- l.l_hot.sum_rate +. desired -. old;
-  l.l_hot.sum_sq <-
-    l.l_hot.sum_sq +. (desired *. desired) -. (old *. old);
-  let obs = link_obs l ~now in
-  Mbac.Controller.observe l.l_ctrl obs
+let renegotiate l ~slot ~rate =
+  Link.set_rate l.l_load slot rate;
+  Mbac.Controller.observe l.l_ctrl (Link.observation l.l_load)
 
-(* ---------- overflow + measurement segments ---------- *)
+(* ---------- flow table and message arena ---------- *)
 
-let track_overflow l ~t0 ~t1 =
-  let over = l.l_hot.sum_rate > l.l_capacity in
-  let in_episode = not (Float.is_nan l.l_hot.ovf_start) in
-  if over && not in_episode then begin
-    l.l_hot.ovf_start <- t0;
-    l.l_hot.ovf_excess <- 0.0;
-    l.l_ovf_episodes <- l.l_ovf_episodes + 1
-  end
-  else if (not over) && in_episode then begin
-    l.l_hot.ovf_time <- l.l_hot.ovf_time +. (t0 -. l.l_hot.ovf_start);
-    l.l_hot.ovf_start <- nan;
-    l.l_hot.ovf_excess <- 0.0
-  end;
-  if over then
-    l.l_hot.ovf_excess <-
-      l.l_hot.ovf_excess +. ((l.l_hot.sum_rate -. l.l_capacity) *. (t1 -. t0))
+let grow_int a ncap = Array.append a (Array.make (ncap - Array.length a) 0)
 
-let[@inline] record_segment l ~t1 =
-  let t0 = l.l_hot.last_t in
-  Meas.record l.l_meas ~t0 ~t1 ~load:l.l_hot.sum_rate;
-  if t1 > t0 then track_overflow l ~t0 ~t1;
-  l.l_hot.last_t <- t1
-
-(* ---------- flow table ---------- *)
-
-let grow_shard_flow_table sh =
-  let cap = Array.length sh.f_sources in
-  let ncap = if cap = 0 then 1024 else 2 * cap in
-  let grow_int a = Array.append a (Array.make (ncap - cap) 0) in
-  sh.f_route <- grow_int sh.f_route;
-  sh.f_seq <- grow_int sh.f_seq;
-  sh.f_gen <- grow_int sh.f_gen;
-  sh.f_estab <- grow_int sh.f_estab;
-  let sources = Array.make ncap None in
-  Array.blit sh.f_sources 0 sources 0 cap;
-  sh.f_sources <- sources
+let grow_float a ncap =
+  let g = Float.Array.create ncap in
+  Float.Array.blit a 0 g 0 (Float.Array.length a);
+  g
 
 let flow_alloc sh =
-  if sh.f_free_top > 0 then begin
-    sh.f_free_top <- sh.f_free_top - 1;
-    sh.f_free.(sh.f_free_top)
-  end
-  else begin
-    if sh.f_limit = Array.length sh.f_sources then grow_shard_flow_table sh;
-    if sh.f_limit > slot_mask then
-      invalid_arg "Network: more concurrent ingress flows than slot bits";
-    let slot = sh.f_limit in
-    sh.f_limit <- slot + 1;
-    slot
-  end
+  let slot = Slots.alloc sh.f_slots in
+  if slot > slot_mask then
+    invalid_arg "Network: more concurrent ingress flows than slot bits";
+  if slot = Array.length sh.f_sources then begin
+    let ncap = max 1024 (2 * slot) in
+    sh.f_route <- grow_int sh.f_route ncap;
+    sh.f_seq <- grow_int sh.f_seq ncap;
+    sh.f_gen <- grow_int sh.f_gen ncap;
+    sh.f_sources <- Array.append sh.f_sources (Array.make (ncap - slot) None)
+  end;
+  slot
 
 let flow_free sh slot =
   sh.f_sources.(slot) <- None;
   sh.f_gen.(slot) <- sh.f_gen.(slot) + 1;
-  if sh.f_free_top = Array.length sh.f_free then begin
-    let ncap = max 1024 (2 * Array.length sh.f_free) in
-    let free = Array.make ncap 0 in
-    Array.blit sh.f_free 0 free 0 sh.f_free_top;
-    sh.f_free <- free
-  end;
-  sh.f_free.(sh.f_free_top) <- slot;
-  sh.f_free_top <- sh.f_free_top + 1
-
-(* ---------- message arena ---------- *)
-
-let grow_arena sh =
-  let cap = Array.length sh.a_kind in
-  let ncap = if cap = 0 then 256 else 2 * cap in
-  let grow_int a = Array.append a (Array.make (ncap - cap) 0) in
-  sh.a_kind <- grow_int sh.a_kind;
-  sh.a_link <- grow_int sh.a_link;
-  sh.a_hop <- grow_int sh.a_hop;
-  sh.a_route <- grow_int sh.a_route;
-  sh.a_seq <- grow_int sh.a_seq;
-  sh.a_islot <- grow_int sh.a_islot;
-  sh.a_igen <- grow_int sh.a_igen;
-  let rate = Float.Array.create ncap in
-  Float.Array.blit sh.a_rate 0 rate 0 cap;
-  sh.a_rate <- rate;
-  let tend = Float.Array.create ncap in
-  Float.Array.blit sh.a_tend 0 tend 0 cap;
-  sh.a_tend <- tend
-
-let arena_alloc sh =
-  if sh.a_free_top > 0 then begin
-    sh.a_free_top <- sh.a_free_top - 1;
-    sh.a_free.(sh.a_free_top)
-  end
-  else begin
-    if sh.a_limit = Array.length sh.a_kind then grow_arena sh;
-    if sh.a_limit > slot_mask then
-      invalid_arg "Network: more pending messages than slot bits";
-    let idx = sh.a_limit in
-    sh.a_limit <- idx + 1;
-    idx
-  end
-
-let arena_free sh idx =
-  if sh.a_free_top = Array.length sh.a_free then begin
-    let ncap = max 256 (2 * Array.length sh.a_free) in
-    let free = Array.make ncap 0 in
-    Array.blit sh.a_free 0 free 0 sh.a_free_top;
-    sh.a_free <- free
-  end;
-  sh.a_free.(sh.a_free_top) <- idx;
-  sh.a_free_top <- sh.a_free_top + 1
+  Slots.free sh.f_slots slot
 
 (* Queue a message as a wheel event on [sh] (delivery already decided). *)
 let push_local sh ~time ~kind ~link ~hop ~route ~seq ~islot ~igen ~rate
     ~t_end =
-  let idx = arena_alloc sh in
+  let idx = Slots.alloc sh.a_slots in
+  if idx > slot_mask then
+    invalid_arg "Network: more pending messages than slot bits";
+  if idx = Array.length sh.a_kind then begin
+    let ncap = max 256 (2 * idx) in
+    sh.a_kind <- grow_int sh.a_kind ncap;
+    sh.a_link <- grow_int sh.a_link ncap;
+    sh.a_hop <- grow_int sh.a_hop ncap;
+    sh.a_route <- grow_int sh.a_route ncap;
+    sh.a_seq <- grow_int sh.a_seq ncap;
+    sh.a_islot <- grow_int sh.a_islot ncap;
+    sh.a_igen <- grow_int sh.a_igen ncap;
+    sh.a_rate <- grow_float sh.a_rate ncap;
+    sh.a_tend <- grow_float sh.a_tend ncap
+  end;
   sh.a_kind.(idx) <- kind;
   sh.a_link.(idx) <- link;
   sh.a_hop.(idx) <- hop;
@@ -436,6 +277,16 @@ let send_msg eng sh ~time ~kind ~link ~hop ~route ~seq ~islot ~igen ~rate
 
 let[@inline] link_of eng sh link_id = sh.links.(eng.local_ix.(link_id))
 
+(* Renegotiation notices to the downstream hops of [route]. *)
+let send_updates eng sh ~te ~route ~seq ~rate =
+  let links = eng.topo.routes.(route).Topology.links in
+  for h = 1 to Array.length links - 1 do
+    send_msg eng sh
+      ~time:(te +. (float_of_int h *. eng.d))
+      ~kind:k_update ~link:links.(h) ~hop:h ~route ~seq ~islot:0 ~igen:0
+      ~rate ~t_end:0.0
+  done
+
 (* ---------- event handlers ---------- *)
 
 (* Ingress arrival on [route]: bit-for-bit the Poisson arrival path of
@@ -446,63 +297,48 @@ let handle_arrival eng sh ~te ~lr l =
   let route = sh.sr_route.(lr) in
   let rng = sh.sr_rng.(lr) in
   let links = eng.topo.routes.(route).Topology.links in
-  let obs = link_obs l ~now:te in
-  Mbac.Controller.observe l.l_ctrl obs;
-  let m = Mbac.Controller.admissible l.l_ctrl obs in
-  if l.l_n < m && l.l_n < eng.cfg.max_flows_per_link then begin
-    let source = eng.make_source rng ~start:te in
-    let rate = Mbac_traffic.Source.rate source in
-    let fslot = flow_alloc sh in
-    let gen = sh.f_gen.(fslot) in
-    let seq = sh.sr_seq.(lr) in
-    sh.sr_seq.(lr) <- seq + 1;
-    let key = flow_key ~route ~seq in
-    reserve l ~key ~rate;
-    sh.f_route.(fslot) <- route;
-    sh.f_seq.(fslot) <- seq;
-    sh.f_sources.(fslot) <- Some source;
-    let holding =
-      Mbac_stats.Sample.exponential rng ~mean:eng.cfg.holding_time_mean
-    in
-    let t_end = te +. holding in
-    CQ.push sh.wheel ~time:t_end
-      (encode ~tag:tag_depart ~slot:fslot ~gen ~route);
-    let hops = Array.length links in
-    if hops = 1 then begin
-      CQ.push sh.wheel
-        ~time:(Mbac_traffic.Source.next_change source)
-        (encode ~tag:tag_change ~slot:fslot ~gen ~route);
-      sh.f_estab.(fslot) <- 1;
-      sh.sh_admitted <- sh.sh_admitted + 1
-    end
-    else begin
-      sh.f_estab.(fslot) <- 0;
-      send_msg eng sh ~time:(te +. eng.d) ~kind:k_setup ~link:links.(1)
-        ~hop:1 ~route ~seq ~islot:fslot ~igen:sh.f_gen.(fslot) ~rate ~t_end
-    end;
-    let obs' = Mbac.Observation.admit obs ~rate in
-    Mbac.Controller.observe l.l_ctrl obs';
-    Mbac.Controller.on_admit l.l_ctrl obs'
-  end
-  else begin
-    l.l_blocked <- l.l_blocked + 1;
-    sh.sh_blocked <- sh.sh_blocked + 1
-  end;
+  (match admits eng l with
+  | Some obs ->
+      let source = eng.make_source rng ~start:te in
+      let rate = Mbac_traffic.Source.rate source in
+      let fslot = flow_alloc sh in
+      let gen = sh.f_gen.(fslot) in
+      let seq = sh.sr_seq.(lr) in
+      sh.sr_seq.(lr) <- seq + 1;
+      reserve l obs ~key:(flow_key ~route ~seq) ~rate;
+      sh.f_route.(fslot) <- route;
+      sh.f_seq.(fslot) <- seq;
+      sh.f_sources.(fslot) <- Some source;
+      let holding =
+        Mbac_stats.Sample.exponential rng ~mean:eng.cfg.holding_time_mean
+      in
+      let t_end = te +. holding in
+      CQ.push sh.wheel ~time:t_end
+        (encode ~tag:tag_depart ~slot:fslot ~gen ~route);
+      if Array.length links = 1 then begin
+        CQ.push sh.wheel
+          ~time:(Mbac_traffic.Source.next_change source)
+          (encode ~tag:tag_change ~slot:fslot ~gen ~route);
+        sh.sh_admitted <- sh.sh_admitted + 1
+      end
+      else
+        send_msg eng sh ~time:(te +. eng.d) ~kind:k_setup ~link:links.(1)
+          ~hop:1 ~route ~seq ~islot:fslot ~igen:gen ~rate ~t_end
+  | None ->
+      l.l_blocked <- l.l_blocked + 1;
+      sh.sh_blocked <- sh.sh_blocked + 1);
   CQ.push sh.wheel
     ~time:
       (te +. Mbac_stats.Sample.exponential rng ~mean:sh.sr_arrival_mean.(lr))
     (encode ~tag:tag_arrive ~slot:lr ~gen:0 ~route)
 
-let handle_depart eng sh ~te ~fslot ~gen l =
+let handle_depart sh ~fslot ~gen l =
   match sh.f_sources.(fslot) with
   | Some _ when sh.f_gen.(fslot) land gen_mask = gen ->
-      let route = sh.f_route.(fslot) in
-      let key = flow_key ~route ~seq:sh.f_seq.(fslot) in
-      let slot = Int_table.find l.l_tab ~key in
-      release l ~now:te ~slot;
+      let key = flow_key ~route:sh.f_route.(fslot) ~seq:sh.f_seq.(fslot) in
+      release l ~key ~slot:(Int_table.find l.l_tab ~key);
       flow_free sh fslot;
-      sh.sh_departed <- sh.sh_departed + 1;
-      ignore eng
+      sh.sh_departed <- sh.sh_departed + 1
   | Some _ | None -> () (* stale: flow rejected downstream and freed *)
 
 let handle_change eng sh ~te ~fslot ~gen l =
@@ -512,26 +348,13 @@ let handle_change eng sh ~te ~fslot ~gen l =
       let desired = Mbac_traffic.Source.rate source in
       let route = sh.f_route.(fslot) in
       let seq = sh.f_seq.(fslot) in
-      let key = flow_key ~route ~seq in
-      let slot = Int_table.find l.l_tab ~key in
-      let old = Float.Array.get l.l_granted slot in
-      l.l_updates <- l.l_updates + 1;
-      Float.Array.set l.l_granted slot desired;
-      l.l_hot.sum_rate <- l.l_hot.sum_rate +. desired -. old;
-      l.l_hot.sum_sq <-
-        l.l_hot.sum_sq +. (desired *. desired) -. (old *. old);
+      renegotiate l
+        ~slot:(Int_table.find l.l_tab ~key:(flow_key ~route ~seq))
+        ~rate:desired;
       CQ.push sh.wheel
         ~time:(Mbac_traffic.Source.next_change source)
         (encode ~tag:tag_change ~slot:fslot ~gen ~route);
-      let obs = link_obs l ~now:te in
-      Mbac.Controller.observe l.l_ctrl obs;
-      let links = eng.topo.routes.(route).Topology.links in
-      for h = 1 to Array.length links - 1 do
-        send_msg eng sh
-          ~time:(te +. (float_of_int h *. eng.d))
-          ~kind:k_update ~link:links.(h) ~hop:h ~route ~seq ~islot:0
-          ~igen:0 ~rate:desired ~t_end:0.0
-      done
+      send_updates eng sh ~te ~route ~seq ~rate:desired
   | Some _ | None -> () (* stale event of a departed flow *)
 
 let handle_msg eng sh ~te ~idx l =
@@ -543,57 +366,42 @@ let handle_msg eng sh ~te ~idx l =
   let igen = sh.a_igen.(idx) in
   let rate = Float.Array.get sh.a_rate idx in
   let t_end = Float.Array.get sh.a_tend idx in
-  arena_free sh idx;
+  Slots.free sh.a_slots idx;
   let links = eng.topo.routes.(route).Topology.links in
+  let key = flow_key ~route ~seq in
   if kind = k_setup then begin
-    let obs = link_obs l ~now:te in
-    Mbac.Controller.observe l.l_ctrl obs;
-    let m = Mbac.Controller.admissible l.l_ctrl obs in
-    if l.l_n < m && l.l_n < eng.cfg.max_flows_per_link then begin
-      let key = flow_key ~route ~seq in
-      reserve l ~key ~rate;
-      let obs' = Mbac.Observation.admit obs ~rate in
-      Mbac.Controller.observe l.l_ctrl obs';
-      Mbac.Controller.on_admit l.l_ctrl obs';
-      (* the link releases itself at the flow's own end time, shifted by
-         the same per-hop delay its setup took: no departure messages *)
-      push_local sh
-        ~time:(t_end +. (float_of_int hop *. eng.d))
-        ~kind:k_selfrel ~link:l.l_id ~hop ~route ~seq ~islot:0 ~igen:0
-        ~rate:0.0 ~t_end:0.0;
-      if hop = Array.length links - 1 then
-        send_msg eng sh ~time:(te +. eng.d) ~kind:k_confirm ~link:links.(0)
-          ~hop:0 ~route ~seq ~islot ~igen ~rate:0.0 ~t_end:0.0
-      else
-        send_msg eng sh ~time:(te +. eng.d) ~kind:k_setup
-          ~link:links.(hop + 1) ~hop:(hop + 1) ~route ~seq ~islot ~igen
-          ~rate ~t_end
-    end
-    else begin
-      l.l_blocked <- l.l_blocked + 1;
-      send_msg eng sh ~time:(te +. eng.d) ~kind:k_reject ~link:links.(0)
-        ~hop ~route ~seq ~islot ~igen ~rate:0.0 ~t_end:0.0
-    end
+    match admits eng l with
+    | Some obs ->
+        reserve l obs ~key ~rate;
+        (* the link releases itself at the flow's own end time, shifted by
+           the same per-hop delay its setup took: no departure messages *)
+        push_local sh
+          ~time:(t_end +. (float_of_int hop *. eng.d))
+          ~kind:k_selfrel ~link:l.l_id ~hop ~route ~seq ~islot:0 ~igen:0
+          ~rate:0.0 ~t_end:0.0;
+        if hop = Array.length links - 1 then
+          send_msg eng sh ~time:(te +. eng.d) ~kind:k_confirm ~link:links.(0)
+            ~hop:0 ~route ~seq ~islot ~igen ~rate:0.0 ~t_end:0.0
+        else
+          send_msg eng sh ~time:(te +. eng.d) ~kind:k_setup
+            ~link:links.(hop + 1) ~hop:(hop + 1) ~route ~seq ~islot ~igen
+            ~rate ~t_end
+    | None ->
+        l.l_blocked <- l.l_blocked + 1;
+        send_msg eng sh ~time:(te +. eng.d) ~kind:k_reject ~link:links.(0)
+          ~hop ~route ~seq ~islot ~igen ~rate:0.0 ~t_end:0.0
   end
   else if kind = k_confirm then begin
     match sh.f_sources.(islot) with
     | Some source when sh.f_gen.(islot) = igen ->
-        sh.f_estab.(islot) <- 1;
         sh.sh_admitted <- sh.sh_admitted + 1;
         (* catch up on renegotiation epochs missed during the walk *)
         Mbac_traffic.Source.fire_until source ~upto:te;
         let desired = Mbac_traffic.Source.rate source in
-        let key = flow_key ~route ~seq in
         let slot = Int_table.find l.l_tab ~key in
-        let old = Float.Array.get l.l_granted slot in
-        if desired <> old then begin
-          apply_update l ~now:te ~slot ~desired;
-          for h = 1 to Array.length links - 1 do
-            send_msg eng sh
-              ~time:(te +. (float_of_int h *. eng.d))
-              ~kind:k_update ~link:links.(h) ~hop:h ~route ~seq ~islot:0
-              ~igen:0 ~rate:desired ~t_end:0.0
-          done
+        if desired <> Link.rate l.l_load slot then begin
+          renegotiate l ~slot ~rate:desired;
+          send_updates eng sh ~te ~route ~seq ~rate:desired
         end;
         CQ.push sh.wheel
           ~time:(Mbac_traffic.Source.next_change source)
@@ -605,9 +413,7 @@ let handle_msg eng sh ~te ~idx l =
     match sh.f_sources.(islot) with
     | Some _ when sh.f_gen.(islot) = igen ->
         sh.sh_blocked <- sh.sh_blocked + 1;
-        let key = flow_key ~route ~seq in
-        let slot = Int_table.find l.l_tab ~key in
-        release l ~now:te ~slot;
+        release l ~key ~slot:(Int_table.find l.l_tab ~key);
         flow_free sh islot; (* invalidates the pending depart event *)
         for h = 1 to hop - 1 do
           send_msg eng sh ~time:(te +. eng.d) ~kind:k_release
@@ -616,18 +422,13 @@ let handle_msg eng sh ~te ~idx l =
         done
     | Some _ | None -> () (* departed before the reject arrived *)
   end
-  else if kind = k_release || kind = k_selfrel then begin
-    let key = flow_key ~route ~seq in
-    let slot = Int_table.find l.l_tab ~key in
-    if slot >= 0 then release l ~now:te ~slot
-    (* absent: already released by the other of (release, self-release) *)
-  end
   else begin
-    (* k_update *)
-    let key = flow_key ~route ~seq in
     let slot = Int_table.find l.l_tab ~key in
-    if slot >= 0 then apply_update l ~now:te ~slot ~desired:rate
-    (* absent: flow already released here; the late update is dropped *)
+    (* absent: already released here (by the other of release and
+       self-release, or before a late update) *)
+    if slot >= 0 then
+      if kind = k_update then renegotiate l ~slot ~rate
+      else release l ~key ~slot
   end
 
 (* ---------- shard drain ---------- *)
@@ -643,16 +444,15 @@ let advance eng sh ~w_end =
       if tag = tag_msg then link_of eng sh sh.a_link.(p_slot payload)
       else link_of eng sh eng.topo.routes.(p_route payload).Topology.links.(0)
     in
-    record_segment l ~t1:te;
+    ignore (Link.record_segment l.l_load ~t1:te : Link.transition);
     if tag = tag_arrive then handle_arrival eng sh ~te ~lr:(p_slot payload) l
     else if tag = tag_depart then
-      handle_depart eng sh ~te ~fslot:(p_slot payload) ~gen:(p_gen payload) l
+      handle_depart sh ~fslot:(p_slot payload) ~gen:(p_gen payload) l
     else if tag = tag_change then
       handle_change eng sh ~te ~fslot:(p_slot payload) ~gen:(p_gen payload) l
     else handle_msg eng sh ~te ~idx:(p_slot payload) l;
     sh.sh_events <- sh.sh_events + 1;
-    l.l_events <- l.l_events + 1;
-    if l.l_events mod 4_000_000 = 0 then resync_link l
+    Link.tick l.l_load
   done
 
 let deliver_all eng =
@@ -679,11 +479,11 @@ let global_min_time eng =
       if CQ.is_empty sh.wheel then acc else Float.min acc (CQ.min_time sh.wheel))
     Float.infinity eng.shards
 
-(* Window-boundary bookkeeping shared by all drivers: count the window,
-   check the stop conditions, and fast-forward over empty windows
-   (snapping to the absolute [k * d] grid so the boundary sequence — and
-   with it every stop decision — is a pure function of the global event
-   set, not of the sharding). *)
+(* Window-boundary bookkeeping: count the window, check the stop
+   conditions, and fast-forward over empty windows (snapping to the
+   absolute [k * d] grid so the boundary sequence — and with it every
+   stop decision — is a pure function of the global event set, not of
+   the sharding). *)
 let after_window eng ~w_start =
   eng.windows <- eng.windows + 1;
   let cfg = eng.cfg in
@@ -699,46 +499,21 @@ let after_window eng ~w_start =
     else Some w_start
   end
 
-(* ---------- drivers ---------- *)
+(* ---------- driver ---------- *)
 
-(* Serial, and the fallback pool path for 1 < width < shards: a
-   [Parallel.run_tasks] barrier per window (domains are respawned per
-   window — correct at any width, but the spawn cost makes it the
-   driver of last resort). *)
-let run_windowed eng ~width ~jobs =
-  let shard_count = Array.length eng.shards in
-  let w_start = ref 0.0 in
-  let running = ref true in
-  while !running do
-    let w_end = !w_start +. eng.d in
-    if width <= 1 then
-      for i = 0 to shard_count - 1 do
-        advance eng eng.shards.(i) ~w_end
-      done
-    else
-      (* [~count_tasks:false]: the pool invocation count here depends
-         on the window count and driver choice, so counting tasks would
-         make the metric snapshot jobs-dependent. *)
-      ignore
-        (Mbac_sim.Parallel.run_tasks ?jobs ~count_tasks:false
-           (List.init shard_count (fun i () ->
-                advance eng eng.shards.(i) ~w_end)));
-    deliver_all eng;
-    match after_window eng ~w_start:!w_start with
-    | Some w -> w_start := w
-    | None -> running := false
-  done
+(* One driver at every width.  [width] runners each own a contiguous
+   block of ⌈shards / width⌉ shards and advance them window by window;
+   runners meet at a spin barrier after each window.  Runner 0 is the
+   leader: at each barrier it drains the exchange into every shard's
+   wheel and publishes the next window (or the stop), which the others
+   pick up through the epoch counter.  All cross-runner plain-field
+   reads are ordered by the [arrived]/[epoch] atomics.
 
-(* One pool invocation for the whole run: [shards] tasks, one per
-   shard, claimed with [~chunk:1] so each of the [width = shards]
-   runners (the submitting domain plus width-1 spawned workers) holds
-   exactly one task — required, because the tasks synchronize through a
-   spin barrier per window and a runner blocked inside one task must
-   never have a second task queued behind it.  Task 0 is the leader: at
-   each barrier it drains the exchange into every shard's wheel and
-   publishes the next window (or the stop), which the others pick up
-   through the epoch counter.  All cross-task plain-field reads are
-   ordered by the [arrived]/[epoch] atomics. *)
+   Serial is one runner, run in the calling domain.  Otherwise the
+   runners go to one pool invocation for the whole run, claimed with
+   [~chunk:1] so each runner holds its own domain — required, because a
+   domain blocked at the barrier inside one runner must never have a
+   second runner queued behind it. *)
 type barrier_ctl = {
   arrived : int Atomic.t;
   epoch : int Atomic.t;
@@ -746,57 +521,64 @@ type barrier_ctl = {
   mutable c_stop : bool;
 }
 
-let run_barrier eng ~jobs =
+let run_windows eng ~width =
   let shard_count = Array.length eng.shards in
+  let per_runner = (shard_count + width - 1) / width in
+  let runners = (shard_count + per_runner - 1) / per_runner in
   let ctl =
     { arrived = Atomic.make 0;
       epoch = Atomic.make 0;
       c_w_end = eng.d;
       c_stop = false }
   in
-  let failures = Array.make shard_count None in
+  let failures = Array.make runners None in
   let w_start = ref 0.0 in
-  let tasks =
-    List.init shard_count (fun i () ->
-        let sh = eng.shards.(i) in
-        let my_epoch = ref 0 in
-        let continue = ref true in
-        while !continue do
-          (if failures.(i) = None then
-             try advance eng sh ~w_end:ctl.c_w_end
-             with e -> failures.(i) <- Some e);
-          if i = 0 then begin
-            while Atomic.get ctl.arrived < shard_count - 1 do
-              Domain.cpu_relax ()
-            done;
-            Atomic.set ctl.arrived 0;
-            let failed =
-              Array.exists (fun f -> f <> None) failures
-            in
-            (if failed then ctl.c_stop <- true
-             else begin
-               deliver_all eng;
-               match after_window eng ~w_start:!w_start with
-               | Some w ->
-                   w_start := w;
-                   ctl.c_w_end <- w +. eng.d
-               | None -> ctl.c_stop <- true
-             end);
-            Atomic.incr ctl.epoch
-          end
-          else begin
-            Atomic.incr ctl.arrived;
-            while Atomic.get ctl.epoch <= !my_epoch do
-              Domain.cpu_relax ()
-            done
-          end;
-          incr my_epoch;
-          if ctl.c_stop then continue := false
+  let runner r () =
+    let first = r * per_runner in
+    let last = min shard_count (first + per_runner) - 1 in
+    let my_epoch = ref 0 in
+    let continue = ref true in
+    while !continue do
+      (if failures.(r) = None then
+         try
+           for i = first to last do
+             advance eng eng.shards.(i) ~w_end:ctl.c_w_end
+           done
+         with e -> failures.(r) <- Some e);
+      if r = 0 then begin
+        while Atomic.get ctl.arrived < runners - 1 do
+          Domain.cpu_relax ()
         done;
-        match failures.(i) with Some e -> raise e | None -> ())
+        Atomic.set ctl.arrived 0;
+        (if Array.exists Option.is_some failures then ctl.c_stop <- true
+         else begin
+           deliver_all eng;
+           match after_window eng ~w_start:!w_start with
+           | Some w ->
+               w_start := w;
+               ctl.c_w_end <- w +. eng.d
+           | None -> ctl.c_stop <- true
+         end);
+        Atomic.incr ctl.epoch
+      end
+      else begin
+        Atomic.incr ctl.arrived;
+        while Atomic.get ctl.epoch <= !my_epoch do
+          Domain.cpu_relax ()
+        done
+      end;
+      incr my_epoch;
+      if ctl.c_stop then continue := false
+    done;
+    match failures.(r) with Some e -> raise e | None -> ()
   in
-  ignore
-    (Mbac_sim.Parallel.run_tasks ?jobs ~chunk:1 ~count_tasks:false tasks)
+  if runners = 1 then runner 0 ()
+  else
+    (* [~count_tasks:false]: the task count depends on the width, so
+       counting it would make the metric snapshot jobs-dependent. *)
+    ignore
+      (Mbac_sim.Parallel.run_tasks ~jobs:runners ~chunk:1 ~count_tasks:false
+         (List.init runners runner))
 
 (* ---------- engine construction ---------- *)
 
@@ -828,28 +610,12 @@ let build ~seed cfg ~make_controller ~make_source =
               let ctrl = make_controller ~link:id ~capacity in
               Mbac.Controller.reset ctrl;
               { l_id = id;
-                l_capacity = capacity;
                 l_ctrl = ctrl;
-                l_meas =
-                  Meas.create ~sample_spacing:cfg.batch_length
-                    ~capacity ~warmup:cfg.warmup
-                    ~batch_length:cfg.batch_length ();
+                l_load =
+                  Link.create ~capacity ~warmup:cfg.warmup
+                    ~batch_length:cfg.batch_length;
                 l_tab = Int_table.create ();
-                l_granted = Float.Array.create 0;
-                l_key = [||];
-                l_free = [||];
-                l_free_top = 0;
-                l_limit = 0;
-                l_hot =
-                  { last_t = 0.0; sum_rate = 0.0; sum_sq = 0.0;
-                    ovf_start = nan; ovf_excess = 0.0; ovf_time = 0.0 };
-                l_n = 0;
-                l_reserved = 0;
-                l_blocked = 0;
-                l_released = 0;
-                l_updates = 0;
-                l_ovf_episodes = 0;
-                l_events = 0 })
+                l_blocked = 0 })
             link_ids
         in
         let route_ids = ref [] in
@@ -872,12 +638,12 @@ let build ~seed cfg ~make_controller ~make_source =
               (fun r -> 1.0 /. topo.Topology.routes.(r).Topology.rate)
               sr_route;
           sr_seq = Array.make (Array.length sr_route) 0;
-          f_route = [||]; f_seq = [||]; f_gen = [||]; f_estab = [||];
-          f_sources = [||]; f_free = [||]; f_free_top = 0; f_limit = 0;
+          f_slots = Slots.create ();
+          f_route = [||]; f_seq = [||]; f_gen = [||]; f_sources = [||];
+          a_slots = Slots.create ();
           a_kind = [||]; a_link = [||]; a_hop = [||]; a_route = [||];
           a_seq = [||]; a_islot = [||]; a_igen = [||];
           a_rate = Float.Array.create 0; a_tend = Float.Array.create 0;
-          a_free = [||]; a_free_top = 0; a_limit = 0;
           sh_events = 0; sh_admitted = 0; sh_blocked = 0;
           sh_departed = 0 })
   in
@@ -892,7 +658,7 @@ let build ~seed cfg ~make_controller ~make_source =
     (fun sh ->
       Array.iter
         (fun l ->
-          Mbac.Controller.observe l.l_ctrl (link_obs l ~now:0.0))
+          Mbac.Controller.observe l.l_ctrl (Link.observation l.l_load))
         sh.links;
       Array.iteri
         (fun lr r ->
@@ -913,7 +679,7 @@ let collect eng =
     Array.fold_left
       (fun acc sh ->
         Array.fold_left
-          (fun acc l -> Float.max acc l.l_hot.last_t)
+          (fun acc l -> Float.max acc (Link.now l.l_load))
           acc sh.links)
       0.0 eng.shards
   in
@@ -922,30 +688,30 @@ let collect eng =
     (fun sh ->
       Array.iter
         (fun l ->
-          (* close an overflow episode left open at run end *)
-          if not (Float.is_nan l.l_hot.ovf_start) then
-            l.l_hot.ovf_time <-
-              l.l_hot.ovf_time +. (l.l_hot.last_t -. l.l_hot.ovf_start);
+          let ll = l.l_load in
+          ignore (Link.close_episode ll : bool);
+          let meas = Link.measurement ll in
+          let capacity = Link.capacity ll in
           let p_f, estimate_kind =
-            Meas.final_estimate l.l_meas ~target:cfg.target_p_q
+            Meas.final_estimate meas ~target:cfg.target_p_q
           in
-          let mean_load = Meas.load_mean l.l_meas in
+          let mean_load = Meas.load_mean meas in
           links.(l.l_id) <-
             Some
               { link = l.l_id;
-                capacity = l.l_capacity;
+                capacity;
                 p_f;
                 estimate_kind;
-                p_f_point = Meas.point_fraction l.l_meas;
+                p_f_point = Meas.point_fraction meas;
                 mean_load;
-                std_load = Meas.load_std l.l_meas;
-                utilization = mean_load /. l.l_capacity;
-                reserved = l.l_reserved;
+                std_load = Meas.load_std meas;
+                utilization = mean_load /. capacity;
+                reserved = Link.reserved ll;
                 link_blocked = l.l_blocked;
-                released = l.l_released;
-                updates = l.l_updates;
-                ovf_episodes = l.l_ovf_episodes;
-                ovf_time = l.l_hot.ovf_time })
+                released = Link.released ll;
+                updates = Link.updates ll;
+                ovf_episodes = Link.episodes ll;
+                ovf_time = Link.overflow_time ll })
         sh.links)
     eng.shards;
   let links = Array.map Option.get links in
@@ -987,9 +753,7 @@ let collect eng =
 
 let run ?jobs ~seed cfg ~make_controller ~make_source =
   let eng = build ~seed cfg ~make_controller ~make_source in
-  let width = Mbac_sim.Parallel.effective_jobs ?jobs cfg.shards in
-  if width >= cfg.shards && cfg.shards > 1 then run_barrier eng ~jobs
-  else run_windowed eng ~width ~jobs;
+  run_windows eng ~width:(Mbac_sim.Parallel.effective_jobs ?jobs cfg.shards);
   collect eng
 
 (* ---------- printing ---------- *)

@@ -111,28 +111,48 @@ let run_unix engine ~path =
     (fun () ->
       Unix.bind sock (Unix.ADDR_UNIX path);
       Unix.listen sock 16;
-      let threads = ref [] in
+      (* Live connection threads by id.  A thread drops itself on exit
+         (threads run detached, so nothing else needs reclaiming); it is
+         registered under the same lock it takes to drop itself, so it
+         cannot drop itself before it is there. *)
+      let live = Hashtbl.create 16 in
+      let lock = Mutex.create () in
       let conn_id = ref 0 in
+      let backoff = ref 0.001 in
       (try
          while not (Atomic.get stop) do
-           let fd, _ = Unix.accept sock in
-           if Atomic.get stop then Unix.close fd
-           else begin
-             conn_opened ();
-             incr conn_id;
-             let peer = Printf.sprintf "unix-%d" !conn_id in
-             let th =
-               Thread.create
-                 (fun () ->
-                   match serve_connection engine fd ~peer with
-                   | `Shutdown ->
-                       Atomic.set stop true;
-                       wake path
-                   | `Closed -> ())
-                 ()
-             in
-             threads := th :: !threads
-           end
+           match Unix.accept sock with
+           | fd, _ ->
+               backoff := 0.001;
+               if Atomic.get stop then Unix.close fd
+               else begin
+                 conn_opened ();
+                 incr conn_id;
+                 let peer = Printf.sprintf "unix-%d" !conn_id in
+                 Mutex.protect lock (fun () ->
+                     let th =
+                       Thread.create
+                         (fun () ->
+                           (match serve_connection engine fd ~peer with
+                           | `Shutdown ->
+                               Atomic.set stop true;
+                               wake path
+                           | `Closed -> ());
+                           Mutex.protect lock (fun () ->
+                               Hashtbl.remove live (Thread.id (Thread.self ()))))
+                         ()
+                     in
+                     Hashtbl.replace live (Thread.id th) th)
+               end
+           | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> ()
+           (* Out of descriptors: the connection stays queued until a
+              service thread closes one.  Back off, re-checking [stop]. *)
+           | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
+               Thread.delay !backoff;
+               backoff := Float.min 0.1 (2.0 *. !backoff)
          done
-       with Unix.Unix_error _ -> ());
-      List.iter Thread.join !threads)
+       with Unix.Unix_error (e, _, _) ->
+         prerr_endline ("mbac_serve: accept: " ^ Unix.error_message e));
+      List.iter Thread.join
+        (Mutex.protect lock (fun () -> List.of_seq (Hashtbl.to_seq_values live))))
+

@@ -75,21 +75,6 @@ let[@inline] payload_tag p = p land 3
 let[@inline] payload_slot p = (p lsr 2) land slot_mask
 let[@inline] payload_gen p = p lsr (slot_bits + 2)
 
-(* Per-event mutable floats live in their own all-float record so the
-   simulator's stores stay unboxed (a mutable float field in the mixed
-   [state] record below would box on every store). *)
-type hot = {
-  mutable now : float;
-  mutable sum_rate : float;
-  mutable sum_sq : float;
-  (* telemetry: overflow-episode tracking and periodic trace snapshots *)
-  mutable ovf_start : float;   (* nan when not in an overflow episode *)
-  mutable ovf_excess : float;  (* ∫(load - capacity)dt over the episode *)
-  mutable ovf_time : float;
-  mutable next_snapshot : float;
-  mutable next_window : float; (* next time-series boundary; inf when off *)
-}
-
 (* Time-series cursors: the flow/event totals live in plain [state]
    fields on the hot path and are folded into the telemetry shard once
    per run — or, when [--series-out] wants live windows, once per window
@@ -106,12 +91,14 @@ type cursor = {
   mutable c_time : float;
 }
 
-(* Dense flow table: a structure of arrays indexed by slot, with a
-   free-slot stack.  [granted] is the rate the link has actually
-   allocated to the flow; it equals the source's desired rate except
-   when an upward renegotiation was blocked under
-   [`Renegotiation_blocking].  A slot is live iff [sources.(slot)] is
-   [Some _]; its generation counts how many flows have occupied it. *)
+(* The link's load lives in [link]; its slot table doubles as the flow
+   table: [sources] and [gens] are indexed by the same slots.  The
+   link's granted rate equals the source's desired rate except when an
+   upward renegotiation was blocked under [`Renegotiation_blocking].  A
+   slot is live iff [sources.(slot)] is [Some _]; its generation counts
+   how many flows have occupied it.  Admissions, departures and
+   renegotiations are the link's [reserved], [released] and [updates]
+   counts. *)
 type state = {
   cfg : config;
   arrival_mean : float; (* 1/rate for `Poisson, hoisted; nan for `Infinite *)
@@ -119,25 +106,18 @@ type state = {
   controller : Mbac.Controller.t;
   make_source : Mbac_stats.Rng.t -> start:float -> Mbac_traffic.Source.t;
   queue : Calendar_queue.t;
-  mutable granted : Float.Array.t;
+  link : Link.t;
   mutable sources : Mbac_traffic.Source.t option array;
   mutable gens : int array;
-  mutable free : int array;      (* stack of vacant slots *)
-  mutable free_top : int;
-  mutable slot_limit : int;      (* slots ever used (high-water mark) *)
-  meas : Measurement.t;
   buffer : Fluid_buffer.t option;
   utility_stats : Mbac_stats.Welford.Weighted.t;
   flow_count_stats : Mbac_stats.Welford.Weighted.t;
-  hot : hot;
-  mutable n : int;
-  mutable admitted : int;
-  mutable departed : int;
+  (* next trace snapshot and time-series boundary (inf when off); stored
+     only at those boundaries, so boxing the stores costs nothing *)
+  mutable next_snapshot : float;
+  mutable next_window : float;
   mutable blocked : int;
-  mutable reneg_attempts : int;
   mutable reneg_failures : int;
-  mutable events : int;
-  mutable ovf_episodes : int;
   cursor : cursor;
 }
 
@@ -176,185 +156,113 @@ let m_time = Mbac_telemetry.Metrics.Handle.sum "sim_time_simulated"
 let g_window_flows = Mbac_telemetry.Metrics.Handle.gauge "sim_window_flows"
 let g_window_load = Mbac_telemetry.Metrics.Handle.gauge "sim_window_load"
 
-let[@inline] observation s =
-  Mbac.Observation.make ~now:s.hot.now ~n:s.n ~sum_rate:s.hot.sum_rate
-    ~sum_sq:s.hot.sum_sq
-
-(* Counter the slow drift of the incrementally-maintained sums by
-   recomputing them from scratch periodically (linear slot scan). *)
-let resync_sums s =
-  let sum = ref 0.0 and sq = ref 0.0 in
-  for slot = 0 to s.slot_limit - 1 do
-    match Array.unsafe_get s.sources slot with
-    | Some _ ->
-        let g = Float.Array.unsafe_get s.granted slot in
-        sum := !sum +. g;
-        sq := !sq +. (g *. g)
-    | None -> ()
-  done;
-  s.hot.sum_rate <- !sum;
-  s.hot.sum_sq <- !sq
-
 let grow_flow_table s =
-  let cap = Array.length s.sources in
-  let ncap = if cap = 0 then 1024 else 2 * cap in
-  let granted = Float.Array.create ncap in
-  Float.Array.blit s.granted 0 granted 0 cap;
-  let sources = Array.make ncap None in
-  Array.blit s.sources 0 sources 0 cap;
-  let gens = Array.make ncap 0 in
-  Array.blit s.gens 0 gens 0 cap;
-  s.granted <- granted;
-  s.sources <- sources;
-  s.gens <- gens
-
-let alloc_slot s =
-  if s.free_top > 0 then begin
-    s.free_top <- s.free_top - 1;
-    s.free.(s.free_top)
-  end
-  else begin
-    if s.slot_limit = Array.length s.sources then grow_flow_table s;
-    if s.slot_limit > slot_mask then
-      invalid_arg "Continuous_load: more concurrent flows than slot bits";
-    let slot = s.slot_limit in
-    s.slot_limit <- slot + 1;
-    slot
-  end
-
-let free_slot s slot =
-  s.sources.(slot) <- None;
-  s.gens.(slot) <- s.gens.(slot) + 1;
-  if s.free_top = Array.length s.free then begin
-    let ncap = max 1024 (2 * Array.length s.free) in
-    let free = Array.make ncap 0 in
-    Array.blit s.free 0 free 0 s.free_top;
-    s.free <- free
-  end;
-  s.free.(s.free_top) <- slot;
-  s.free_top <- s.free_top + 1
+  let extra = max 1024 (Array.length s.sources) in
+  s.sources <- Array.append s.sources (Array.make extra None);
+  s.gens <- Array.append s.gens (Array.make extra 0)
 
 (* Returns the granted rate so callers can advance their observation
    incrementally ({!Mbac.Observation.admit}) instead of re-reading the
    state they just updated. *)
 let admit_one s =
-  let source = s.make_source s.rng ~start:s.hot.now in
-  let slot = alloc_slot s in
-  let gen = s.gens.(slot) in
+  let now = Link.now s.link in
+  let source = s.make_source s.rng ~start:now in
   let r = Mbac_traffic.Source.rate source in
-  Float.Array.set s.granted slot r;
+  let slot = Link.reserve s.link ~rate:r in
+  if slot > slot_mask then
+    invalid_arg "Continuous_load: more concurrent flows than slot bits";
+  if slot = Array.length s.sources then grow_flow_table s;
+  let gen = s.gens.(slot) in
   s.sources.(slot) <- Some source;
-  s.n <- s.n + 1;
-  s.hot.sum_rate <- s.hot.sum_rate +. r;
-  s.hot.sum_sq <- s.hot.sum_sq +. (r *. r);
-  s.admitted <- s.admitted + 1;
   let holding =
     Mbac_stats.Sample.exponential s.rng ~mean:s.cfg.holding_time_mean
   in
-  Calendar_queue.push s.queue ~time:(s.hot.now +. holding)
+  Calendar_queue.push s.queue ~time:(now +. holding)
     (encode ~tag:tag_depart ~slot ~gen);
   Calendar_queue.push s.queue ~time:(Mbac_traffic.Source.next_change source)
     (encode ~tag:tag_change ~slot ~gen);
   r
 
+(* One admission decision on [obs], which must describe the current
+   state: admit a fresh flow if the controller allows one more, and
+   return the observation after it.  The admission is observed before
+   any further decision, so the controller reacts to its own
+   admissions. *)
+let admit_if_room s obs =
+  let m = Mbac.Controller.admissible s.controller obs in
+  let n = Link.n s.link in
+  if n < m && n < s.cfg.max_flows then begin
+    let obs' = Mbac.Observation.admit obs ~rate:(admit_one s) in
+    Mbac.Controller.observe s.controller obs';
+    Mbac.Controller.on_admit s.controller obs';
+    Some obs'
+  end
+  else None
+
 (* Infinite offered load: admit while the controller allows more flows
-   than are present.  Each admission is observed before the next
-   decision, so the controller reacts to its own admissions.  [obs0]
-   must describe the current state — callers have always just built it
-   for their own controller notification, so the common no-admission
-   case costs no fresh observation. *)
-let try_admit s obs0 =
-  let obs = ref obs0 in
-  let continue = ref true in
-  while !continue do
-    let m = Mbac.Controller.admissible s.controller !obs in
-    if s.n < m && s.n < s.cfg.max_flows then begin
-      let r = admit_one s in
-      let obs' = Mbac.Observation.admit !obs ~rate:r in
-      Mbac.Controller.observe s.controller obs';
-      Mbac.Controller.on_admit s.controller obs';
-      obs := obs'
-    end
-    else continue := false
-  done
+   than are present.  Callers have always just built [obs] for their
+   own controller notification, so the common no-admission case costs
+   no fresh observation. *)
+let rec try_admit s obs =
+  match admit_if_room s obs with Some obs' -> try_admit s obs' | None -> ()
 
 (* One arriving flow under the Poisson process: a single yes/no decision. *)
 let handle_arrival s =
-  let obs = observation s in
+  let obs = Link.observation s.link in
   Mbac.Controller.observe s.controller obs;
-  let m = Mbac.Controller.admissible s.controller obs in
-  if s.n < m && s.n < s.cfg.max_flows then begin
-    let r = admit_one s in
-    let obs' = Mbac.Observation.admit obs ~rate:r in
-    Mbac.Controller.observe s.controller obs';
-    Mbac.Controller.on_admit s.controller obs'
-  end
-  else s.blocked <- s.blocked + 1;
-  match s.cfg.arrival with
-  | `Poisson _ ->
-      Calendar_queue.push s.queue
-        ~time:
-          (s.hot.now
-          +. Mbac_stats.Sample.exponential s.rng ~mean:s.arrival_mean)
-        tag_arrive
-  | `Infinite -> ()
+  if Option.is_none (admit_if_room s obs) then s.blocked <- s.blocked + 1;
+  Calendar_queue.push s.queue
+    ~time:
+      (Link.now s.link
+      +. Mbac_stats.Sample.exponential s.rng ~mean:s.arrival_mean)
+    tag_arrive
 
-(* Overflow-episode bookkeeping over one load-constant segment: an
-   episode opens when the aggregate first exceeds capacity and closes on
-   the first segment back at or under it.  Counters are always on; the
-   start/end trace events only render when tracing is enabled (and their
-   field lists are only built then). *)
-let close_overflow_episode s ~t0 =
-  let duration = t0 -. s.hot.ovf_start in
-  s.hot.ovf_time <- s.hot.ovf_time +. duration;
+(* Overflow-episode telemetry, on the transitions [Link.record_segment]
+   reports (and on the episode still open at run end).  Counters are
+   always on; the start/end trace events only render when tracing is
+   enabled (and their field lists are only built then). *)
+let episode_opened s ~t0 =
+  if Mbac_telemetry.Trace.enabled () then
+    Mbac_telemetry.Trace.emit ~t:t0 ~kind:"overflow_start"
+      [ ("load", Mbac_telemetry.Trace.Float (Link.sum_rate s.link));
+        ("capacity", Mbac_telemetry.Trace.Float s.cfg.capacity);
+        ("n", Mbac_telemetry.Trace.Int (Link.n s.link)) ]
+
+let episode_closed s ~t ~truncated =
+  let start = Link.episode_start s.link in
+  let excess = Link.episode_excess s.link in
+  let duration = t -. start in
   Mbac_telemetry.Metrics.Handle.inc m_ovf_episodes;
   Mbac_telemetry.Metrics.Handle.add m_ovf_time duration;
-  Mbac_telemetry.Metrics.Handle.add m_ovf_excess s.hot.ovf_excess;
+  Mbac_telemetry.Metrics.Handle.add m_ovf_excess excess;
   Mbac_telemetry.Metrics.Handle.observe m_ovf_duration
     (duration /. s.cfg.batch_length);
   Mbac_telemetry.Metrics.Handle.observe_q m_ovf_duration_s duration;
   if Mbac_telemetry.Trace.enabled () then
-    Mbac_telemetry.Trace.emit ~t:t0 ~kind:"overflow_end"
-      [ ("start", Mbac_telemetry.Trace.Float s.hot.ovf_start);
-        ("duration", Mbac_telemetry.Trace.Float duration);
-        ("excess_volume", Mbac_telemetry.Trace.Float s.hot.ovf_excess) ];
-  s.hot.ovf_start <- nan;
-  s.hot.ovf_excess <- 0.0
-
-let[@inline] track_overflow s ~t0 ~t1 =
-  let over = s.hot.sum_rate > s.cfg.capacity in
-  let in_episode = not (Float.is_nan s.hot.ovf_start) in
-  if over && not in_episode then begin
-    s.hot.ovf_start <- t0;
-    s.hot.ovf_excess <- 0.0;
-    s.ovf_episodes <- s.ovf_episodes + 1;
-    if Mbac_telemetry.Trace.enabled () then
-      Mbac_telemetry.Trace.emit ~t:t0 ~kind:"overflow_start"
-        [ ("load", Mbac_telemetry.Trace.Float s.hot.sum_rate);
-          ("capacity", Mbac_telemetry.Trace.Float s.cfg.capacity);
-          ("n", Mbac_telemetry.Trace.Int s.n) ]
-  end
-  else if (not over) && in_episode then close_overflow_episode s ~t0;
-  if over then
-    s.hot.ovf_excess <-
-      s.hot.ovf_excess +. ((s.hot.sum_rate -. s.cfg.capacity) *. (t1 -. t0))
+    Mbac_telemetry.Trace.emit ~t ~kind:"overflow_end"
+      ([ ("start", Mbac_telemetry.Trace.Float start);
+         ("duration", Mbac_telemetry.Trace.Float duration);
+         ("excess_volume", Mbac_telemetry.Trace.Float excess) ]
+      @ if truncated then [ ("truncated", Mbac_telemetry.Trace.Bool true) ]
+        else [])
 
 (* Periodic estimator snapshots on a fixed virtual-time grid (one per
    batch), emitted only while tracing: the running cross-sectional
    estimate next to the measured overflow fraction so far. *)
 let emit_snapshots s ~t1 =
-  while s.hot.next_snapshot <= t1 do
-    let t = s.hot.next_snapshot in
-    s.hot.next_snapshot <- s.hot.next_snapshot +. s.cfg.batch_length;
-    let obs = observation s in
+  while s.next_snapshot <= t1 do
+    let t = s.next_snapshot in
+    s.next_snapshot <- s.next_snapshot +. s.cfg.batch_length;
+    let obs = Link.observation s.link in
     Mbac_telemetry.Trace.emit ~t ~kind:"estimator"
-      [ ("n", Mbac_telemetry.Trace.Int s.n);
-        ("load", Mbac_telemetry.Trace.Float s.hot.sum_rate);
+      [ ("n", Mbac_telemetry.Trace.Int (Link.n s.link));
+        ("load", Mbac_telemetry.Trace.Float (Link.sum_rate s.link));
         ("mu_hat", Mbac_telemetry.Trace.Float (Mbac.Observation.cross_mean obs));
         ("sigma_hat",
          Mbac_telemetry.Trace.Float (sqrt (Mbac.Observation.cross_variance obs)));
         ("p_f_running",
-         Mbac_telemetry.Trace.Float (Measurement.overflow_fraction s.meas)) ]
+         Mbac_telemetry.Trace.Float
+           (Measurement.overflow_fraction (Link.measurement s.link))) ]
   done
 
 (* Fold the not-yet-folded part of each running total into the shard.
@@ -364,17 +272,20 @@ let emit_snapshots s ~t1 =
    closed (or the final [now] at run end). *)
 let sync_counters s ~upto =
   let c = s.cursor in
-  Mbac_telemetry.Metrics.Handle.inc m_events ~by:(s.events - c.c_events);
-  c.c_events <- s.events;
-  Mbac_telemetry.Metrics.Handle.inc m_admitted ~by:(s.admitted - c.c_admitted);
-  c.c_admitted <- s.admitted;
-  Mbac_telemetry.Metrics.Handle.inc m_departed ~by:(s.departed - c.c_departed);
-  c.c_departed <- s.departed;
+  let l = s.link in
+  Mbac_telemetry.Metrics.Handle.inc m_events ~by:(Link.events l - c.c_events);
+  c.c_events <- Link.events l;
+  Mbac_telemetry.Metrics.Handle.inc m_admitted
+    ~by:(Link.reserved l - c.c_admitted);
+  c.c_admitted <- Link.reserved l;
+  Mbac_telemetry.Metrics.Handle.inc m_departed
+    ~by:(Link.released l - c.c_departed);
+  c.c_departed <- Link.released l;
   Mbac_telemetry.Metrics.Handle.inc m_blocked ~by:(s.blocked - c.c_blocked);
   c.c_blocked <- s.blocked;
   Mbac_telemetry.Metrics.Handle.inc m_reneg_attempts
-    ~by:(s.reneg_attempts - c.c_reneg_attempts);
-  c.c_reneg_attempts <- s.reneg_attempts;
+    ~by:(Link.updates l - c.c_reneg_attempts);
+  c.c_reneg_attempts <- Link.updates l;
   Mbac_telemetry.Metrics.Handle.inc m_reneg_failures
     ~by:(s.reneg_failures - c.c_reneg_failures);
   c.c_reneg_failures <- s.reneg_failures;
@@ -387,12 +298,13 @@ let sync_counters s ~upto =
    enabled flag in [record_segment], so the hot path pays one atomic
    read when the series is off. *)
 let emit_windows s ~t1 =
-  while s.hot.next_window <= t1 do
-    let b = s.hot.next_window in
-    s.hot.next_window <- b +. Mbac_telemetry.Timeseries.interval ();
+  while s.next_window <= t1 do
+    let b = s.next_window in
+    s.next_window <- b +. Mbac_telemetry.Timeseries.interval ();
     sync_counters s ~upto:b;
-    Mbac_telemetry.Metrics.Handle.set_gauge g_window_flows (float_of_int s.n);
-    Mbac_telemetry.Metrics.Handle.set_gauge g_window_load s.hot.sum_rate;
+    Mbac_telemetry.Metrics.Handle.set_gauge g_window_flows
+      (float_of_int (Link.n s.link));
+    Mbac_telemetry.Metrics.Handle.set_gauge g_window_load (Link.sum_rate s.link);
     Mbac_telemetry.Timeseries.emit_window ~t:b
   done
 
@@ -400,23 +312,26 @@ let feed_buffer s b ~t0 ~t1 =
   (* feed through the warm-up (to build up a realistic level) but
      discard the counters at the warm-up boundary, like the overflow
      measurement does *)
+  let load = Link.sum_rate s.link in
   if t0 < s.cfg.warmup && t1 > s.cfg.warmup then begin
-    Fluid_buffer.feed b ~duration:(s.cfg.warmup -. t0) ~load:s.hot.sum_rate;
+    Fluid_buffer.feed b ~duration:(s.cfg.warmup -. t0) ~load;
     Fluid_buffer.reset_statistics b;
-    Fluid_buffer.feed b ~duration:(t1 -. s.cfg.warmup) ~load:s.hot.sum_rate
+    Fluid_buffer.feed b ~duration:(t1 -. s.cfg.warmup) ~load
   end
   else begin
-    Fluid_buffer.feed b ~duration:(t1 -. t0) ~load:s.hot.sum_rate;
+    Fluid_buffer.feed b ~duration:(t1 -. t0) ~load;
     if t1 <= s.cfg.warmup then Fluid_buffer.reset_statistics b
   end
 
 (* No loops anywhere on the common path below (the snapshot loop is out
-   of line and trace-gated), so this inlines into [process_event] and
+   of line and trace-gated), so this inlines into [fire] and
    the segment endpoints never box. *)
 let[@inline] record_segment s ~t1 =
-  let t0 = s.hot.now in
-  Measurement.record s.meas ~t0 ~t1 ~load:s.hot.sum_rate;
-  if t1 > t0 then track_overflow s ~t0 ~t1;
+  let t0 = Link.now s.link in
+  (match Link.record_segment s.link ~t1 with
+  | Link.Steady -> ()
+  | Link.Opened -> episode_opened s ~t0
+  | Link.Closed -> episode_closed s ~t:t0 ~truncated:false);
   if Mbac_telemetry.Trace.enabled () then emit_snapshots s ~t1;
   if Mbac_telemetry.Timeseries.enabled () then emit_windows s ~t1;
   (match s.buffer with
@@ -426,48 +341,42 @@ let[@inline] record_segment s ~t1 =
     let t0' = Float.max t0 s.cfg.warmup in
     let w = t1 -. t0' in
     Mbac_stats.Welford.Weighted.add s.flow_count_stats ~weight:w
-      (float_of_int s.n);
+      (float_of_int (Link.n s.link));
     let f =
       Mbac.Utility.delivered_fraction ~capacity:s.cfg.capacity
-        ~load:s.hot.sum_rate
+        ~load:(Link.sum_rate s.link)
     in
     Mbac_stats.Welford.Weighted.add s.utility_stats ~weight:w
       (Mbac.Utility.eval s.cfg.utility f)
   end
 
+(* Infinite load refills the link after every event; Poisson arrivals
+   are their own events. *)
+let[@inline] refill s obs =
+  match s.cfg.arrival with
+  | `Infinite -> try_admit s obs
+  | `Poisson _ -> ()
+
 let handle_depart s slot gen =
   match s.sources.(slot) with
   | Some _ when s.gens.(slot) = gen ->
-      let r = Float.Array.get s.granted slot in
-      free_slot s slot;
-      s.n <- s.n - 1;
-      s.hot.sum_rate <- s.hot.sum_rate -. r;
-      s.hot.sum_sq <- s.hot.sum_sq -. (r *. r);
-      if s.n = 0 then begin
-        (* clear float-cancellation residue *)
-        s.hot.sum_rate <- 0.0;
-        s.hot.sum_sq <- 0.0
-      end;
-      s.departed <- s.departed + 1;
-      let obs = observation s in
+      s.sources.(slot) <- None;
+      s.gens.(slot) <- gen + 1;
+      Link.release s.link slot;
+      let obs = Link.observation s.link in
       Mbac.Controller.observe s.controller obs;
       Mbac.Controller.on_depart s.controller obs;
-      (match s.cfg.arrival with
-      | `Infinite -> try_admit s obs
-      | `Poisson _ -> ())
-  | Some _ | None -> (
+      refill s obs
+  | Some _ | None ->
       (* cannot happen for departures; kept safe *)
-      match s.cfg.arrival with
-      | `Infinite -> try_admit s (observation s)
-      | `Poisson _ -> ())
+      refill s (Link.observation s.link)
 
 let handle_change s slot gen =
   match s.sources.(slot) with
   | Some source when s.gens.(slot) = gen ->
-      let old_granted = Float.Array.get s.granted slot in
-      Mbac_traffic.Source.fire source ~now:s.hot.now;
+      let old_granted = Link.rate s.link slot in
+      Mbac_traffic.Source.fire source ~now:(Link.now s.link);
       let desired = Mbac_traffic.Source.rate source in
-      s.reneg_attempts <- s.reneg_attempts + 1;
       (* The paper's RCBR service (§2): "bandwidth renegotiations fail
          when the current aggregate bandwidth demand exceeds the link
          capacity".  We count an upward renegotiation as failed when
@@ -479,42 +388,32 @@ let handle_change s slot gen =
       (match s.cfg.link with
       | `Renegotiation_blocking
         when desired > old_granted
-             && s.hot.sum_rate -. old_granted +. desired > s.cfg.capacity ->
+             && Link.sum_rate s.link -. old_granted +. desired
+                > s.cfg.capacity ->
           s.reneg_failures <- s.reneg_failures + 1
       | `Renegotiation_blocking | `Bufferless | `Buffered _ -> ());
-      Float.Array.set s.granted slot desired;
-      s.hot.sum_rate <- s.hot.sum_rate +. desired -. old_granted;
-      s.hot.sum_sq <-
-        s.hot.sum_sq +. (desired *. desired) -. (old_granted *. old_granted);
+      Link.set_rate s.link slot desired;
       Calendar_queue.push s.queue
         ~time:(Mbac_traffic.Source.next_change source)
         (encode ~tag:tag_change ~slot ~gen);
-      let obs = observation s in
+      let obs = Link.observation s.link in
       Mbac.Controller.observe s.controller obs;
-      (match s.cfg.arrival with
-      | `Infinite -> try_admit s obs
-      | `Poisson _ -> ())
-  | Some _ | None -> (
+      refill s obs
+  | Some _ | None ->
       (* stale event of a departed flow (or of a reused slot) *)
-      match s.cfg.arrival with
-      | `Infinite -> try_admit s (observation s)
-      | `Poisson _ -> ())
+      refill s (Link.observation s.link)
 
-(* Pop and process the earliest event.  Reading the minimum in place
-   (rather than through [pop]'s option/pair) keeps the loop
-   allocation-free. *)
-let process_event s =
-  let te = Calendar_queue.min_time s.queue in
-  let payload = Calendar_queue.min_payload s.queue in
-  Calendar_queue.drop_min s.queue;
+(* Account the segment up to the event, then fire it.  [te] is the
+   event's time and [payload] its packed tag/slot/generation. *)
+let[@inline] fire s ~te payload =
   record_segment s ~t1:te;
-  s.hot.now <- te;
   let tag = payload_tag payload in
   if tag = tag_change then
     handle_change s (payload_slot payload) (payload_gen payload)
   else if tag = tag_depart then
     handle_depart s (payload_slot payload) (payload_gen payload)
-  else handle_arrival s
+  else handle_arrival s;
+  Link.tick s.link
 
 (* ------------------------------------------------------------------ *)
 (* Stepping API: the same machinery as [run], exposed one event at a
@@ -540,33 +439,23 @@ let start rng cfg ~controller ~make_source =
         | `Infinite -> nan);
       rng; controller; make_source;
       queue = Calendar_queue.create ();
-      granted = Float.Array.create 0;
+      link =
+        Link.create ~capacity:cfg.capacity ~warmup:cfg.warmup
+          ~batch_length:cfg.batch_length;
       sources = [||];
       gens = [||];
-      free = [||];
-      free_top = 0;
-      slot_limit = 0;
-      meas =
-        Measurement.create ~sample_spacing:cfg.batch_length
-          ~capacity:cfg.capacity ~warmup:cfg.warmup
-          ~batch_length:cfg.batch_length ();
       buffer =
         (match cfg.link with
         | `Buffered size -> Some (Fluid_buffer.create ~capacity:cfg.capacity ~size)
         | `Bufferless | `Renegotiation_blocking -> None);
       utility_stats = Mbac_stats.Welford.Weighted.create ();
       flow_count_stats = Mbac_stats.Welford.Weighted.create ();
-      hot =
-        { now = 0.0; sum_rate = 0.0; sum_sq = 0.0;
-          ovf_start = nan; ovf_excess = 0.0; ovf_time = 0.0;
-          next_snapshot = cfg.warmup;
-          next_window =
-            (if Mbac_telemetry.Timeseries.enabled () then
-               Mbac_telemetry.Timeseries.interval ()
-             else Float.infinity) };
-      n = 0; admitted = 0; departed = 0; blocked = 0;
-      reneg_attempts = 0; reneg_failures = 0; events = 0;
-      ovf_episodes = 0;
+      next_snapshot = cfg.warmup;
+      next_window =
+        (if Mbac_telemetry.Timeseries.enabled () then
+           Mbac_telemetry.Timeseries.interval ()
+         else Float.infinity);
+      blocked = 0; reneg_failures = 0;
       cursor =
         { c_events = 0; c_admitted = 0; c_departed = 0; c_blocked = 0;
           c_reneg_attempts = 0; c_reneg_failures = 0; c_time = 0.0 } }
@@ -578,7 +467,7 @@ let start rng cfg ~controller ~make_source =
       [ ("controller",
          Mbac_telemetry.Trace.Str (Mbac.Controller.name controller));
         ("capacity", Mbac_telemetry.Trace.Float cfg.capacity) ];
-  (let obs0 = observation s in
+  (let obs0 = Link.observation s.link in
    Mbac.Controller.observe controller obs0;
    match cfg.arrival with
    | `Infinite -> try_admit s obs0
@@ -588,17 +477,21 @@ let start rng cfg ~controller ~make_source =
          tag_arrive);
   s
 
-let[@inline] now s = s.hot.now
-let[@inline] load s = s.hot.sum_rate
-let[@inline] flows s = s.n
-let[@inline] events_processed s = s.events
+let[@inline] now s = Link.now s.link
+let[@inline] load s = Link.sum_rate s.link
+let[@inline] flows s = Link.n s.link
+let[@inline] events_processed s = Link.events s.link
 let[@inline] has_pending s = not (Calendar_queue.is_empty s.queue)
-let measurement s = s.meas
+let measurement s = Link.measurement s.link
 
+(* Pop and process the earliest event.  Reading the minimum in place
+   (rather than through [pop]'s option/pair) keeps the loop
+   allocation-free. *)
 let[@inline] step s =
-  process_event s;
-  s.events <- s.events + 1;
-  if s.events mod 4_000_000 = 0 then resync_sums s
+  let te = Calendar_queue.min_time s.queue in
+  let payload = Calendar_queue.min_payload s.queue in
+  Calendar_queue.drop_min s.queue;
+  fire s ~te payload
 
 (* Deep copy.  Everything mutable is duplicated; [cfg] and [make_source]
    are immutable/stateless and shared.  Every source in the clone is
@@ -606,15 +499,11 @@ let[@inline] step s =
    [admit_one] hands to future sources — so a clone's randomness is
    fully determined by the [rng] passed here. *)
 let clone s ~rng =
-  { cfg = s.cfg; arrival_mean = s.arrival_mean; rng;
+  { s with
+    rng;
     controller = Mbac.Controller.copy s.controller;
-    make_source = s.make_source;
     queue = Calendar_queue.copy s.queue;
-    granted =
-      (let len = Float.Array.length s.granted in
-       let g = Float.Array.create len in
-       Float.Array.blit s.granted 0 g 0 len;
-       g);
+    link = Link.copy s.link;
     sources =
       Array.map
         (function
@@ -622,28 +511,10 @@ let clone s ~rng =
           | Some src -> Some (Mbac_traffic.Source.copy src rng))
         s.sources;
     gens = Array.copy s.gens;
-    free = Array.copy s.free;
-    free_top = s.free_top;
-    slot_limit = s.slot_limit;
-    meas = Measurement.copy s.meas;
     buffer = Option.map Fluid_buffer.copy s.buffer;
     utility_stats = Mbac_stats.Welford.Weighted.copy s.utility_stats;
     flow_count_stats = Mbac_stats.Welford.Weighted.copy s.flow_count_stats;
-    hot =
-      { now = s.hot.now; sum_rate = s.hot.sum_rate; sum_sq = s.hot.sum_sq;
-        ovf_start = s.hot.ovf_start; ovf_excess = s.hot.ovf_excess;
-        ovf_time = s.hot.ovf_time; next_snapshot = s.hot.next_snapshot;
-        next_window = s.hot.next_window };
-    n = s.n; admitted = s.admitted; departed = s.departed;
-    blocked = s.blocked; reneg_attempts = s.reneg_attempts;
-    reneg_failures = s.reneg_failures; events = s.events;
-    ovf_episodes = s.ovf_episodes;
-    cursor =
-      { c_events = s.cursor.c_events; c_admitted = s.cursor.c_admitted;
-        c_departed = s.cursor.c_departed; c_blocked = s.cursor.c_blocked;
-        c_reneg_attempts = s.cursor.c_reneg_attempts;
-        c_reneg_failures = s.cursor.c_reneg_failures;
-        c_time = s.cursor.c_time } }
+    cursor = { s.cursor with c_time = s.cursor.c_time } }
 
 type snapshot = state
 
@@ -659,6 +530,7 @@ let restore ?rng snap =
 
 let run rng cfg ~controller ~make_source =
   let s = start rng cfg ~controller ~make_source in
+  let l = s.link in
   let stopped = ref None in
   let running = ref true in
   (* Batched dispatch: one [drain_min] pass processes every event
@@ -671,17 +543,7 @@ let run rng cfg ~controller ~make_source =
      the per-event cadence the stepping API gives; allocated once, not
      per event. *)
   let dispatch payload =
-    let te = Calendar_queue.min_time s.queue in
-    record_segment s ~t1:te;
-    s.hot.now <- te;
-    let tag = payload_tag payload in
-    if tag = tag_change then
-      handle_change s (payload_slot payload) (payload_gen payload)
-    else if tag = tag_depart then
-      handle_depart s (payload_slot payload) (payload_gen payload)
-    else handle_arrival s;
-    s.events <- s.events + 1;
-    if s.events mod 4_000_000 = 0 then resync_sums s
+    fire s ~te:(Calendar_queue.min_time s.queue) payload
   in
   (* Events processed since the last stop check.  A [mod] test on the
      running total would skip a check whenever a same-timestamp
@@ -693,14 +555,15 @@ let run rng cfg ~controller ~make_source =
     if Calendar_queue.is_empty s.queue then
       running := false (* cannot happen while flows exist *)
     else begin
-      let before = s.events in
+      let before = Link.events l in
       Calendar_queue.drain_min s.queue ~f:dispatch;
-      since_check := !since_check + (s.events - before);
+      since_check := !since_check + (Link.events l - before);
       if !since_check >= cfg.check_every_events then begin
         since_check := 0;
         match
           Measurement.check_stop ~confidence:cfg.confidence ~rel_ci:cfg.rel_ci
-            ~min_batches:cfg.min_batches s.meas ~target:cfg.target_p_q
+            ~min_batches:cfg.min_batches (Link.measurement l)
+            ~target:cfg.target_p_q
         with
         | Measurement.Running -> ()
         | v ->
@@ -708,28 +571,15 @@ let run rng cfg ~controller ~make_source =
             running := false
       end
     end;
-    if s.hot.now >= cfg.max_time || s.events >= cfg.max_events then
+    if Link.now l >= cfg.max_time || Link.events l >= cfg.max_events then
       running := false
   done;
   (* Close an overflow episode left open at the end of the run, and fold
      the run's totals into the telemetry shard (exact totals, added once,
      instead of per-event increments on the hot path). *)
-  if not (Float.is_nan s.hot.ovf_start) then begin
-    let duration = s.hot.now -. s.hot.ovf_start in
-    s.hot.ovf_time <- s.hot.ovf_time +. duration;
-    Mbac_telemetry.Metrics.Handle.inc m_ovf_episodes;
-    Mbac_telemetry.Metrics.Handle.add m_ovf_time duration;
-    Mbac_telemetry.Metrics.Handle.add m_ovf_excess s.hot.ovf_excess;
-    Mbac_telemetry.Metrics.Handle.observe m_ovf_duration
-      (duration /. s.cfg.batch_length);
-    Mbac_telemetry.Metrics.Handle.observe_q m_ovf_duration_s duration;
-    Mbac_telemetry.Trace.emit ~t:s.hot.now ~kind:"overflow_end"
-      [ ("start", Mbac_telemetry.Trace.Float s.hot.ovf_start);
-        ("duration", Mbac_telemetry.Trace.Float duration);
-        ("excess_volume", Mbac_telemetry.Trace.Float s.hot.ovf_excess);
-        ("truncated", Mbac_telemetry.Trace.Bool true) ]
-  end;
-  sync_counters s ~upto:s.hot.now;
+  if Link.close_episode l then
+    episode_closed s ~t:(Link.now l) ~truncated:true;
+  sync_counters s ~upto:(Link.now l);
   Mbac_telemetry.Metrics.inc "sim_runs_total";
   (match s.buffer with
   | Some b ->
@@ -737,68 +587,71 @@ let run rng cfg ~controller ~make_source =
         (Fluid_buffer.lost_volume b);
       Mbac_telemetry.Metrics.add "sim_buffer_loss_time" (Fluid_buffer.loss_time b)
   | None -> ());
+  let meas = Link.measurement l in
   let p_f, estimate_kind, converged, ci_rel =
     match !stopped with
     | Some (Measurement.Converged { p_f; ci_rel }) -> (p_f, `Direct, true, ci_rel)
     | Some (Measurement.Below_target { p_f_fit; _ }) ->
         (p_f_fit, `Gaussian_fit, true, nan)
     | Some Measurement.Running | None ->
-        let est, kind = Measurement.final_estimate s.meas ~target:cfg.target_p_q in
+        let est, kind = Measurement.final_estimate meas ~target:cfg.target_p_q in
         let ci =
-          Measurement.relative_half_width s.meas ~confidence:cfg.confidence
+          Measurement.relative_half_width meas ~confidence:cfg.confidence
         in
         (est, kind, false, ci)
   in
-  let mean_load = Measurement.load_mean s.meas in
+  let mean_load = Measurement.load_mean meas in
+  let admitted = Link.reserved l and reneg_attempts = Link.updates l in
   let result =
   { p_f; estimate_kind; converged; ci_rel;
     mean_flows = Mbac_stats.Welford.Weighted.mean s.flow_count_stats;
     mean_load;
-    std_load = Measurement.load_std s.meas;
+    std_load = Measurement.load_std meas;
     utilization = mean_load /. cfg.capacity;
     mean_utility = Mbac_stats.Welford.Weighted.mean s.utility_stats;
-    admitted = s.admitted;
-    departed = s.departed;
+    admitted;
+    departed = Link.released l;
     blocked = s.blocked;
     blocking_probability =
       (match cfg.arrival with
       | `Infinite -> nan
       | `Poisson _ ->
-          let offered = s.blocked + s.admitted in
+          let offered = s.blocked + admitted in
           if offered = 0 then nan
           else float_of_int s.blocked /. float_of_int offered);
-    reneg_attempts = s.reneg_attempts;
+    reneg_attempts;
     reneg_failures = s.reneg_failures;
     reneg_failure_probability =
-      (if s.reneg_attempts = 0 then nan
-       else float_of_int s.reneg_failures /. float_of_int s.reneg_attempts);
+      (if reneg_attempts = 0 then nan
+       else float_of_int s.reneg_failures /. float_of_int reneg_attempts);
     buffer_loss_fraction =
       (match s.buffer with
       | Some b -> Fluid_buffer.loss_time_fraction b
       | None -> nan);
-    p_f_point = Measurement.point_fraction s.meas;
-    sim_time = s.hot.now;
-    events = s.events }
+    p_f_point = Measurement.point_fraction meas;
+    sim_time = Link.now l;
+    events = Link.events l }
   in
   Mbac_telemetry.Metrics.set_gauge "sim_last_p_f" result.p_f;
   Mbac_telemetry.Metrics.set_gauge "sim_last_utilization" result.utilization;
-  Mbac_telemetry.Trace.emit ~t:s.hot.now ~kind:"run_end"
+  Mbac_telemetry.Trace.emit ~t:(Link.now l) ~kind:"run_end"
     [ ("controller", Mbac_telemetry.Trace.Str (Mbac.Controller.name controller));
       ("p_f", Mbac_telemetry.Trace.Float result.p_f);
       ("utilization", Mbac_telemetry.Trace.Float result.utilization);
-      ("overflow_episodes", Mbac_telemetry.Trace.Int s.ovf_episodes);
-      ("overflow_time", Mbac_telemetry.Trace.Float s.hot.ovf_time);
-      ("admitted", Mbac_telemetry.Trace.Int s.admitted);
-      ("events", Mbac_telemetry.Trace.Int s.events) ];
+      ("overflow_episodes", Mbac_telemetry.Trace.Int (Link.episodes l));
+      ("overflow_time", Mbac_telemetry.Trace.Float (Link.overflow_time l));
+      ("admitted", Mbac_telemetry.Trace.Int admitted);
+      ("events", Mbac_telemetry.Trace.Int (Link.events l)) ];
   (* Close the partial window left open at run end (it carries the
      run-total counters folded above and the headline gauges). *)
   if
     Mbac_telemetry.Timeseries.enabled ()
-    && s.hot.now > s.hot.next_window -. Mbac_telemetry.Timeseries.interval ()
+    && Link.now l > s.next_window -. Mbac_telemetry.Timeseries.interval ()
   then begin
-    Mbac_telemetry.Metrics.Handle.set_gauge g_window_flows (float_of_int s.n);
-    Mbac_telemetry.Metrics.Handle.set_gauge g_window_load s.hot.sum_rate;
-    Mbac_telemetry.Timeseries.emit_window ~t:s.hot.now
+    Mbac_telemetry.Metrics.Handle.set_gauge g_window_flows
+      (float_of_int (Link.n l));
+    Mbac_telemetry.Metrics.Handle.set_gauge g_window_load (Link.sum_rate l);
+    Mbac_telemetry.Timeseries.emit_window ~t:(Link.now l)
   end;
   result
 

@@ -32,7 +32,6 @@ type config = {
   calibration_time : float;
   max_pool : int;
   max_trial_events : int;
-  batches : int;
   seed_tag : string;
 }
 
@@ -44,7 +43,6 @@ let default_config ~pilot_time =
     calibration_time = pilot_time /. 10.0;
     max_pool = 64;
     max_trial_events = 1_000_000;
-    batches = 16;
     seed_tag = "splitting" }
 
 type level_stat = {
@@ -99,36 +97,56 @@ let validate cfg =
     invalid_arg "Splitting: calibration_time <= 0";
   if cfg.max_pool < 1 then invalid_arg "Splitting: max_pool < 1";
   if cfg.max_trial_events < 1 then
-    invalid_arg "Splitting: max_trial_events < 1";
-  if cfg.batches < 2 then invalid_arg "Splitting: batches < 2"
+    invalid_arg "Splitting: max_trial_events < 1"
 
-(* Mean and relative variance of the mean via consecutive batch means
-   (the per-trial observations of one stage are i.i.d. given the
-   entrance pool, but batching keeps the machinery uniform with the
-   naive estimator and is robust to pool-induced correlation). *)
-let batch_rel_var values n_batches =
-  let n = Array.length values in
-  let b = min n_batches n in
-  let mean = Array.fold_left ( +. ) 0.0 values /. float_of_int n in
-  if b < 2 || mean = 0.0 then (mean, infinity)
+(* Trials are not independent: every trial restores a clone of an
+   entrance state, and every entrance descends, through the pool of each
+   earlier stage, from one of the pilot's entrances (its root).  Trials
+   sharing a root share that excursion's start, and the stages share
+   roots, so both the within-stage and the cross-stage correlation run
+   through the roots.  The variance of the product of stage means is
+   therefore taken by the delete-one-root jackknife: with [theta_(-r)]
+   the product recomputed without every trial descended from root [r],
+
+     Var(theta) = (R-1)/R sum_r (theta_(-r) - mean_r theta_(-r))^2.
+
+   Each stage is given as (root of each trial, value of each trial).
+   Returns the relative variance Var(theta)/theta^2; [infinity] when it
+   cannot be assessed (fewer than two roots, a zero product, or a stage
+   whose trials all descend from one root). *)
+let jackknife_rel_var ~roots stages =
+  let stages =
+    List.map
+      (fun (root, value) ->
+        let sum = Array.make roots 0.0 and count = Array.make roots 0 in
+        Array.iteri
+          (fun i r ->
+            sum.(r) <- sum.(r) +. value.(i);
+            count.(r) <- count.(r) + 1)
+          root;
+        (sum, count, Array.fold_left ( +. ) 0.0 value, Array.length value))
+      stages
+  in
+  (* the product without root [r]'s trials; [r = -1] keeps them all *)
+  let product r =
+    List.fold_left
+      (fun acc (sum, count, total, n) ->
+        let s, c = if r < 0 then (0.0, 0) else (sum.(r), count.(r)) in
+        acc *. ((total -. s) /. float_of_int (n - c)))
+      1.0 stages
+  in
+  let theta = product (-1) in
+  let deleted = Array.init roots product in
+  if roots < 2 || theta = 0.0 || not (Array.for_all Float.is_finite deleted)
+  then infinity
   else begin
-    let means =
-      Array.init b (fun k ->
-          let lo = k * n / b and hi = (k + 1) * n / b in
-          let acc = ref 0.0 in
-          for i = lo to hi - 1 do
-            acc := !acc +. values.(i)
-          done;
-          !acc /. float_of_int (hi - lo))
+    let r = float_of_int roots in
+    let mean = Array.fold_left ( +. ) 0.0 deleted /. r in
+    let ss =
+      Array.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0.0
+        deleted
     in
-    let bm = Array.fold_left ( +. ) 0.0 means /. float_of_int b in
-    let sq = ref 0.0 in
-    Array.iter
-      (fun x -> sq := !sq +. ((x -. bm) *. (x -. bm)))
-      means;
-    (* sample variance of the batch means / number of batches *)
-    let var_mean = !sq /. float_of_int (b - 1) /. float_of_int b in
-    (mean, var_mean /. (mean *. mean))
+    (r -. 1.0) /. r *. ss /. (theta *. theta)
   end
 
 (* One clone trial of an intermediate stage: from an entrance at level l,
@@ -336,7 +354,19 @@ let run ?jobs ~seed cfg sim_cfg ~controller ~make_source =
     in
     let n_stages = cfg.levels - 1 in
     let level_stats = ref [] in
-    let pool = ref pool0 in
+    (* each entrance with the index of the pilot entrance it descends
+       from; [stages] collects every stage's (roots, values) for the
+       jackknife *)
+    let roots = Array.length pool0 in
+    let pool = ref (Array.mapi (fun r snap -> (snap, r)) pool0) in
+    let stages = ref [] in
+    let mean values =
+      Array.fold_left ( +. ) 0.0 values /. float_of_int (Array.length values)
+    in
+    let trial_roots entrance_pool =
+      Array.init cfg.trials_per_level (fun i ->
+          snd entrance_pool.(i mod Array.length entrance_pool))
+    in
     let alive = ref true in
     let stage = ref 0 in
     while !alive && !stage < n_stages do
@@ -350,7 +380,7 @@ let run ?jobs ~seed cfg sim_cfg ~controller ~make_source =
         Mbac_telemetry.Profile.span "splitting.level" @@ fun () ->
         chunked ?jobs cfg.trials_per_level (fun i ->
             run_trial
-              ~entrance:entrance_pool.(i mod pool_len)
+              ~entrance:(fst entrance_pool.(i mod pool_len))
               ~rng:(derive (Printf.sprintf ":level=%d:trial=%d" l i))
               ~base ~target ~max_events:cfg.max_trial_events
               ~want_snapshot:(i < snapshot_budget))
@@ -359,25 +389,29 @@ let run ?jobs ~seed cfg sim_cfg ~controller ~make_source =
       let next_pool = ref [] in
       let next_n = ref 0 in
       let level_events = ref 0 in
-      List.iter
-        (fun t ->
+      List.iteri
+        (fun i t ->
           level_events := !level_events + t.trial_events;
           if t.truncated then incr truncated_trials;
           if t.success then begin
             incr successes;
             match t.snap with
             | Some s when !next_n < cfg.max_pool ->
-                next_pool := s :: !next_pool;
+                next_pool :=
+                  (s, snd entrance_pool.(i mod pool_len)) :: !next_pool;
                 incr next_n
             | Some _ | None -> ()
           end)
         trials;
       total_events := !total_events + !level_events;
+      let roots_of_trials = trial_roots entrance_pool in
       let indicators =
         Array.of_list
           (List.map (fun t -> if t.success then 1.0 else 0.0) trials)
       in
-      let p_hat, rel_var = batch_rel_var indicators cfg.batches in
+      stages := (roots_of_trials, indicators) :: !stages;
+      let p_hat = mean indicators in
+      let rel_var = jackknife_rel_var ~roots [ (roots_of_trials, indicators) ] in
       level_stats :=
         { threshold = target; trials = cfg.trials_per_level;
           successes = !successes; p_hat; rel_var; pool = pool_len;
@@ -399,7 +433,7 @@ let run ?jobs ~seed cfg sim_cfg ~controller ~make_source =
         Mbac_telemetry.Profile.span "splitting.level" @@ fun () ->
         chunked ?jobs cfg.trials_per_level (fun i ->
             run_top_trial
-              ~entrance:entrance_pool.(i mod pool_len)
+              ~entrance:(fst entrance_pool.(i mod pool_len))
               ~rng:(derive (Printf.sprintf ":level=top:trial=%d" i))
               ~base ~capacity ~max_events:cfg.max_trial_events)
       in
@@ -409,18 +443,18 @@ let run ?jobs ~seed cfg sim_cfg ~controller ~make_source =
           if trunc then incr truncated_trials)
         tops;
       let times = Array.of_list (List.map (fun (t, _, _) -> t) tops) in
-      let mean_t, rel_var_t = batch_rel_var times cfg.batches in
+      let mean_t = mean times in
       let product =
         Array.fold_left (fun acc ls -> acc *. ls.p_hat) 1.0 level_stats
       in
       let p_f = nu1 *. product *. mean_t in
-      (* Delta method across independent stages; the excursion-rate term
-         uses the Poisson approximation Var(nu_1)/nu_1^2 ~ 1/entrances. *)
+      (* The stages' product by the root jackknife; the excursion-rate
+         term adds the Poisson approximation Var(nu_1)/nu_1^2 ~
+         1/entrances. *)
       let rel_var_total =
-        Array.fold_left
-          (fun acc ls -> acc +. ls.rel_var)
-          ((1.0 /. float_of_int excursions) +. rel_var_t)
-          level_stats
+        (1.0 /. float_of_int excursions)
+        +. jackknife_rel_var ~roots
+             (List.rev ((trial_roots entrance_pool, times) :: !stages))
       in
       let ci_rel =
         if Float.is_nan p_f || p_f <= 0.0 then infinity

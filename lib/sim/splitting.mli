@@ -39,32 +39,35 @@ type config = {
   max_trial_events : int;   (** safety cap per clone trial; hitting it
                                 counts the trial as failed (conservative)
                                 and increments [truncated_trials] *)
-  batches : int;            (** batch count for per-stage variance *)
   seed_tag : string;        (** prefix of all derived RNG stream tags *)
 }
 
 val default_config : pilot_time:float -> config
 (** [base_level = 0.25], [levels = 6], [trials_per_level = 2048],
     [calibration_time = pilot_time / 10], [max_pool = 64],
-    [max_trial_events = 1_000_000], [batches = 16],
-    [seed_tag = "splitting"]. *)
+    [max_trial_events = 1_000_000], [seed_tag = "splitting"]. *)
 
 type level_stat = {
   threshold : float;
   trials : int;
   successes : int;
   p_hat : float;
-  rel_var : float;     (** relative variance of [p_hat] (batch means) *)
+  rel_var : float;     (** relative variance of [p_hat] (jackknife over
+                           the pilot entrances the trials descend from) *)
   pool : int;          (** entrance-pool size the stage drew from *)
   level_events : int;
 }
 
 type result = {
   p_f : float;             (** splitting estimate; [0.] when a stage died *)
-  ci_rel : float;          (** 95% relative CI half-width via the delta
-                               method across independent stages (the
-                               excursion-rate term uses the Poisson
-                               approximation [1/excursions]);
+  ci_rel : float;          (** 95% relative CI half-width [1.96 sd].
+                               Trials are clustered on the pilot
+                               entrance they descend from, and the
+                               stages' product is jackknifed over those
+                               clusters, which accounts for the trials
+                               and stages that share an ancestor; the
+                               excursion-rate term adds the Poisson
+                               approximation [1/excursions].
                                [infinity] when degenerate *)
   mean_load : float;       (** calibrated [m] *)
   base_threshold : float;  (** [B] *)

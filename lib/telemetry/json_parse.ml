@@ -205,3 +205,17 @@ let to_string = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List l -> Some l | _ -> None
 let to_obj = function Obj l -> Some l | _ -> None
+
+let num x =
+  let s = Json.float x in
+  if (not (Float.is_finite x)) || float_of_string s = x then s
+  else if Float.is_integer x then Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.17g" x
+
+let rec to_json = function
+  | Null -> "null"
+  | Bool b -> Json.bool b
+  | Num x -> num x
+  | Str s -> Json.string s
+  | List l -> Json.arr (List.map to_json l)
+  | Obj fields -> Json.obj (List.map (fun (k, v) -> (k, to_json v)) fields)

@@ -33,3 +33,9 @@ val to_string : t -> string option
 val to_bool : t -> bool option
 val to_list : t -> t list option
 val to_obj : t -> (string * t) list option
+
+val to_json : t -> string
+(** Render a value back with {!Json}'s rules.  A document {!Json}
+    rendered round-trips byte for byte through [parse] and [to_json]:
+    numbers print as [%.12g] when that reads back exactly, else as an
+    integer or [%.17g]. *)

@@ -15,4 +15,4 @@ let () =
    @ Test_effective_bandwidth.suite @ Test_telemetry.suite
    @ Test_quantile_histogram.suite @ Test_timeseries.suite
    @ Test_serve_protocol.suite @ Test_serve.suite
-   @ Test_network.suite @ Test_catalogue.suite)
+   @ Test_network.suite @ Test_link.suite @ Test_catalogue.suite)

@@ -216,8 +216,8 @@ let test_shard_invariance =
               2 )
       in
       (* [jobs:1] keeps the property cheap on a 1-core runner; the
-         domain-parallel drivers are pinned against the same serial
-         reference by [test_parallel_drivers] and the network cram *)
+         parallel widths are pinned against the same serial reference by
+         [test_parallel_drivers] and the network cram *)
       let reference =
         render (run_net ~jobs:1 ~seed ~shards:1 ~max_events:40_000 topology)
       in
@@ -227,19 +227,22 @@ let test_shard_invariance =
       String.equal reference sharded)
 
 let test_parallel_drivers () =
-  (* One run through each driver — serial, whole-run spin barrier
-     (width = shards), and the per-window pool fallback (width <
-     shards) — must render identically. *)
+  (* The one driver at every width — serial, one shard per runner, and
+     two shards per runner (widths 2 and 3 both give ceil(4/width) = 2)
+     — must render identically. *)
   let capacity = 30.0 in
   let rate = 0.9 *. capacity /. t_h in
   let topology = Topo.line ~links:4 ~capacity ~rate in
   let reference =
     render (run_net ~jobs:1 ~seed:21 ~shards:4 ~max_events:20_000 topology)
   in
-  Alcotest.(check string) "barrier driver (jobs = shards)" reference
-    (render (run_net ~jobs:4 ~seed:21 ~shards:4 ~max_events:20_000 topology));
-  Alcotest.(check string) "window-pool driver (jobs < shards)" reference
-    (render (run_net ~jobs:2 ~seed:21 ~shards:4 ~max_events:20_000 topology))
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "width %d" jobs)
+        reference
+        (render (run_net ~jobs ~seed:21 ~shards:4 ~max_events:20_000 topology)))
+    [ 4; 3; 2 ]
 
 let test_conservation () =
   let capacity = 30.0 in

@@ -191,6 +191,18 @@ let test_jobs_invariant_snapshot () =
         (Snapshot.to_json (run jobs)))
     [ 2; 4 ]
 
+(* BENCH.json is read back through Json_parse and rewritten with
+   Json_parse.to_json; the committed file must survive that byte for
+   byte, or every bench run would rewrite sections it did not measure. *)
+let test_bench_json_round_trip () =
+  let text = In_channel.with_open_bin "../BENCH.json" In_channel.input_all in
+  let body = String.trim text in
+  match Mbac_telemetry.Json_parse.parse body with
+  | Error e -> Alcotest.fail ("BENCH.json does not parse: " ^ e)
+  | Ok v ->
+      Alcotest.(check string) "BENCH.json round-trips" body
+        (Mbac_telemetry.Json_parse.to_json v)
+
 let suite =
   [ ( "telemetry",
       [ test "histogram bucket edges" test_bucket_edges;
@@ -202,4 +214,5 @@ let suite =
         test "snapshot merge identity" test_merge_empty_identity;
         test "snapshot JSON deterministic" test_json_deterministic;
         test_sharded_counters_qcheck;
-        test "jobs-invariant snapshot" test_jobs_invariant_snapshot ] ) ]
+        test "jobs-invariant snapshot" test_jobs_invariant_snapshot;
+        test "BENCH.json round-trips" test_bench_json_round_trip ] ) ]
