@@ -812,10 +812,7 @@ let run_serve fmt ~toy =
   let engine =
     Mbac_serve.Engine.create
       { capacity = 100.0;
-        criteria =
-          [ Mbac_serve.Engine.Gaussian { cname = "ce:0.01"; p_ce = 0.01 };
-            Mbac_serve.Engine.Hoeffding
-              { cname = "hoeffding:0.01:2.0"; p_ce = 0.01; peak = 2.0 } ];
+        criteria = Mbac_serve.Spec.criteria_of_string "ce:0.01,hoeffding:0.01:2.0";
         estimator = Mbac.Estimator.ewma ~t_m:100.0;
         measure_every = 16 }
   in

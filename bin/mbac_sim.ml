@@ -6,6 +6,40 @@ open Cmdliner
 
 type source_kind = Rcbr | Onoff | Ou | Lrd
 
+(* The controller named by --controller, as a thunk: for a link of
+   [capacity] under the paper's parameters [p] (per-flow statistics,
+   p_q, T~_h), with the memory window [t_m] defaulting to T~_h.  The
+   single-link command passes its own [p]; the network scales one to
+   each link. *)
+let controller_of_name name p ~capacity ~t_m =
+  let { Mbac.Params.mu; sigma; p_q; _ } = p in
+  let t_h_tilde = Mbac.Params.t_h_tilde p in
+  let t_m = Option.value t_m ~default:t_h_tilde in
+  let peak = mu +. (3.0 *. sigma) in
+  match name with
+  | "perfect" -> Ok (fun () -> Mbac.Controller.perfect p)
+  | "memoryless" -> Ok (fun () -> Mbac.Controller.memoryless ~capacity ~p_ce:p_q)
+  | "memory" ->
+      Ok (fun () -> Mbac.Controller.with_memory ~capacity ~p_ce:p_q ~t_m)
+  | "robust" -> Ok (fun () -> Mbac.Controller.robust p)
+  | "measured-sum" ->
+      Ok
+        (fun () ->
+          Mbac.Controller.measured_sum ~capacity ~utilization_target:0.9
+            ~window:t_h_tilde ~peak)
+  | "hoeffding" ->
+      Ok
+        (fun () ->
+          Mbac.Controller.hoeffding ~capacity ~p_ce:p_q ~peak
+            (Mbac.Estimator.ewma ~t_m))
+  | "gkk" ->
+      Ok
+        (fun () ->
+          Mbac.Controller.gkk ~capacity ~p_ce:p_q ~prior_mu:mu
+            ~prior_var:(sigma *. sigma) ~prior_weight:0.5)
+  | "peak-rate" -> Ok (fun () -> Mbac.Controller.peak_rate ~capacity ~peak)
+  | other -> Error (Printf.sprintf "unknown controller %S" other)
+
 let run_sim controller_name source_kind n mu sigma_ratio t_h t_c p_q t_m
     max_events seed reps jobs rare_event rare_levels rare_base rare_trials
     rare_pilot tele =
@@ -13,36 +47,10 @@ let run_sim controller_name source_kind n mu sigma_ratio t_h t_c p_q t_m
   let p = Mbac.Params.make ~n ~mu ~sigma ~t_h ~t_c ~p_q in
   let capacity = Mbac.Params.capacity p in
   let t_h_tilde = Mbac.Params.t_h_tilde p in
-  let t_m = match t_m with Some v -> v | None -> t_h_tilde in
-  let peak = mu +. (3.0 *. sigma) in
   (* A controller carries mutable estimator state, so every replication
      needs a fresh one: validate the name once, then build per task. *)
-  let make_controller =
-    match controller_name with
-    | "perfect" -> Ok (fun () -> Mbac.Controller.perfect p)
-    | "memoryless" ->
-        Ok (fun () -> Mbac.Controller.memoryless ~capacity ~p_ce:p_q)
-    | "memory" ->
-        Ok (fun () -> Mbac.Controller.with_memory ~capacity ~p_ce:p_q ~t_m)
-    | "robust" -> Ok (fun () -> Mbac.Controller.robust p)
-    | "measured-sum" ->
-        Ok
-          (fun () ->
-            Mbac.Controller.measured_sum ~capacity ~utilization_target:0.9
-              ~window:t_h_tilde ~peak)
-    | "hoeffding" ->
-        Ok
-          (fun () ->
-            Mbac.Controller.hoeffding ~capacity ~p_ce:p_q ~peak
-              (Mbac.Estimator.ewma ~t_m))
-    | "gkk" ->
-        Ok
-          (fun () ->
-            Mbac.Controller.gkk ~capacity ~p_ce:p_q ~prior_mu:mu
-              ~prior_var:(sigma *. sigma) ~prior_weight:0.5)
-    | "peak-rate" -> Ok (fun () -> Mbac.Controller.peak_rate ~capacity ~peak)
-    | other -> Error (Printf.sprintf "unknown controller %S" other)
-  in
+  let make_controller = controller_of_name controller_name p ~capacity ~t_m in
+  let t_m = Option.value t_m ~default:t_h_tilde in
   match make_controller with
   | Error _ as e -> e
   | Ok _ when reps < 1 -> Error "--reps must be >= 1"
@@ -282,30 +290,8 @@ let run_network topo_spec topo_file shards controller_name source_kind n mu
      built per link from its capacity, scaling the paper's system size
      as n_l = C_l / mu. *)
   let build_controller ~capacity =
-    let n_l = capacity /. mu in
-    let p_l = Mbac.Params.make ~n:n_l ~mu ~sigma ~t_h ~t_c ~p_q in
-    let t_h_tilde = Mbac.Params.t_h_tilde p_l in
-    let t_m = match t_m with Some v -> v | None -> t_h_tilde in
-    let peak = mu +. (3.0 *. sigma) in
-    match controller_name with
-    | "perfect" -> Ok (Mbac.Controller.perfect p_l)
-    | "memoryless" -> Ok (Mbac.Controller.memoryless ~capacity ~p_ce:p_q)
-    | "memory" -> Ok (Mbac.Controller.with_memory ~capacity ~p_ce:p_q ~t_m)
-    | "robust" -> Ok (Mbac.Controller.robust p_l)
-    | "measured-sum" ->
-        Ok
-          (Mbac.Controller.measured_sum ~capacity ~utilization_target:0.9
-             ~window:t_h_tilde ~peak)
-    | "hoeffding" ->
-        Ok
-          (Mbac.Controller.hoeffding ~capacity ~p_ce:p_q ~peak
-             (Mbac.Estimator.ewma ~t_m))
-    | "gkk" ->
-        Ok
-          (Mbac.Controller.gkk ~capacity ~p_ce:p_q ~prior_mu:mu
-             ~prior_var:(sigma *. sigma) ~prior_weight:0.5)
-    | "peak-rate" -> Ok (Mbac.Controller.peak_rate ~capacity ~peak)
-    | other -> Error (Printf.sprintf "unknown controller %S" other)
+    let p_l = Mbac.Params.make ~n:(capacity /. mu) ~mu ~sigma ~t_h ~t_c ~p_q in
+    controller_of_name controller_name p_l ~capacity ~t_m
   in
   match topo with
   | Error e -> Error e
@@ -326,7 +312,8 @@ let run_network topo_spec topo_file shards controller_name source_kind n mu
   | Ok topology -> (
       match build_controller ~capacity with
       | Error _ as e -> e
-      | Ok probe ->
+      | Ok make_probe ->
+          let probe = make_probe () in
           Mbac_telemetry_cli.Flags.install tele;
           let lrd_trace =
             lazy
@@ -393,7 +380,7 @@ let run_network topo_spec topo_file shards controller_name source_kind n mu
             Mbac_net.Network.run ~jobs ~seed cfg
               ~make_controller:(fun ~link:_ ~capacity ->
                 match build_controller ~capacity with
-                | Ok c -> c
+                | Ok make -> make ()
                 | Error e -> invalid_arg e)
               ~make_source
           in

@@ -60,10 +60,6 @@ let make ?(on_admit = nop) ?(on_depart = nop) ?(reset = fun () -> ()) ?copy
   { name; observe; admissible = instrument ~name admissible;
     on_admit; on_depart; reset; copy }
 
-let check_p_ce p_ce =
-  if not (p_ce > 0.0 && p_ce <= 0.5) then
-    invalid_arg "Controller: requires 0 < p_ce <= 0.5"
-
 (* Controllers hide their mutable state in closures (estimators, refs),
    so each scheme provides ~copy by re-invoking its own constructor on a
    deep copy of that state — copies of copies then work for free. *)
@@ -73,26 +69,26 @@ let rec perfect p =
   make ~name:"perfect" ~observe:nop ~admissible:(fun _ -> m)
     ~copy:(fun () -> perfect p) ()
 
-let rec certainty_equivalent ~capacity ~p_ce estimator =
-  check_p_ce p_ce;
-  let alpha = Mbac_stats.Gaussian.q_inv p_ce in
+let rec of_policy ~name ~capacity policy estimator =
   let admissible obs =
+    let n = Observation.count obs in
     match Estimator.current estimator with
-    | Some { Estimator.mu_hat; var_hat } when mu_hat > 0.0 ->
-        Criterion.admissible ~capacity ~mu:mu_hat ~sigma:(sqrt var_hat) ~alpha
-    | Some _ | None ->
-        (* Cautious bootstrap: admit one flow at a time until the
-           estimator produces a usable estimate. *)
-        Observation.count obs + 1
+    | Some { Estimator.mu_hat; var_hat } ->
+        Policy.admissible policy ~capacity ~mu:mu_hat ~var:var_hat ~n
+    | None -> Policy.admissible policy ~capacity ~mu:nan ~var:nan ~n
   in
-  make
-    ~name:(Printf.sprintf "ce[%s,p_ce=%.2g]" (Estimator.name estimator) p_ce)
+  make ~name
     ~observe:(Estimator.observe estimator)
     ~admissible
     ~reset:(fun () -> Estimator.reset estimator)
     ~copy:(fun () ->
-      certainty_equivalent ~capacity ~p_ce (Estimator.copy estimator))
+      of_policy ~name ~capacity policy (Estimator.copy estimator))
     ()
+
+let certainty_equivalent ~capacity ~p_ce estimator =
+  of_policy
+    ~name:(Printf.sprintf "ce[%s,p_ce=%.2g]" (Estimator.name estimator) p_ce)
+    ~capacity (Policy.gaussian ~p_ce) estimator
 
 let memoryless ~capacity ~p_ce =
   certainty_equivalent ~capacity ~p_ce (Estimator.memoryless ())
@@ -102,28 +98,15 @@ let with_memory ~capacity ~p_ce ~t_m =
 
 let robust p =
   let t_m = Window.recommended_t_m p in
-  let alpha_ce = Inversion.adjusted_alpha_ce ~t_m p in
   (* Guard the degenerate deep-repair case where no adjustment is needed:
      alpha_ce = 0 would mean p_ce = 0.5; never run below the QoS target. *)
-  let alpha_ce = Float.max alpha_ce (Params.alpha_q p) in
-  let capacity = Params.capacity p in
-  let rec build estimator =
-    let admissible obs =
-      match Estimator.current estimator with
-      | Some { Estimator.mu_hat; var_hat } when mu_hat > 0.0 ->
-          Criterion.admissible ~capacity ~mu:mu_hat ~sigma:(sqrt var_hat)
-            ~alpha:alpha_ce
-      | Some _ | None -> Observation.count obs + 1
-    in
-    make
-      ~name:(Printf.sprintf "robust[T_m=%.3g,alpha_ce=%.3g]" t_m alpha_ce)
-      ~observe:(Estimator.observe estimator)
-      ~admissible
-      ~reset:(fun () -> Estimator.reset estimator)
-      ~copy:(fun () -> build (Estimator.copy estimator))
-      ()
+  let alpha_ce =
+    Float.max (Inversion.adjusted_alpha_ce ~t_m p) (Params.alpha_q p)
   in
-  build (Estimator.ewma ~t_m)
+  of_policy
+    ~name:(Printf.sprintf "robust[T_m=%.3g,alpha_ce=%.3g]" t_m alpha_ce)
+    ~capacity:(Params.capacity p) (Policy.of_alpha alpha_ce)
+    (Estimator.ewma ~t_m)
 
 let rec peak_rate ~capacity ~peak =
   let m = Criterion.peak_rate_count ~capacity ~peak in
@@ -199,71 +182,41 @@ let measured_sum ~capacity ~utilization_target ~window ~peak =
   in
   build (Windowed_max.create ~window ~n_blocks:8)
 
-let rec hoeffding ~capacity ~p_ce ~peak estimator =
-  check_p_ce p_ce;
-  if peak <= 0.0 then invalid_arg "Controller.hoeffding: peak <= 0";
-  (* M mu + b sqrt M <= c with b = peak sqrt(ln(1/p)/2): same quadratic as
-     the Gaussian criterion with (sigma alpha) |-> b. *)
-  let bound = peak *. sqrt (log (1.0 /. p_ce) /. 2.0) in
-  let admissible obs =
-    match Estimator.current estimator with
-    | Some { Estimator.mu_hat; _ } when mu_hat > 0.0 ->
-        Criterion.admissible ~capacity ~mu:mu_hat ~sigma:bound ~alpha:1.0
-    | Some _ | None -> Observation.count obs + 1
-  in
-  make
+let hoeffding ~capacity ~p_ce ~peak estimator =
+  of_policy
     ~name:(Printf.sprintf "hoeffding[p=%.2g]" p_ce)
-    ~observe:(Estimator.observe estimator)
-    ~admissible
-    ~reset:(fun () -> Estimator.reset estimator)
-    ~copy:(fun () -> hoeffding ~capacity ~p_ce ~peak (Estimator.copy estimator))
-    ()
+    ~capacity (Policy.hoeffding ~p_ce ~peak) estimator
 
-let rec chernoff ~capacity ~p_ce estimator =
-  check_p_ce p_ce;
-  let alpha = Effective_bandwidth.gaussian_alpha_of_p p_ce in
-  let admissible obs =
-    match Estimator.current estimator with
-    | Some { Estimator.mu_hat; var_hat } when mu_hat > 0.0 ->
-        Criterion.admissible ~capacity ~mu:mu_hat ~sigma:(sqrt var_hat) ~alpha
-    | Some _ | None -> Observation.count obs + 1
-  in
-  make
+let chernoff ~capacity ~p_ce estimator =
+  of_policy
     ~name:(Printf.sprintf "chernoff[p=%.2g]" p_ce)
-    ~observe:(Estimator.observe estimator)
-    ~admissible
-    ~reset:(fun () -> Estimator.reset estimator)
-    ~copy:(fun () -> chernoff ~capacity ~p_ce (Estimator.copy estimator))
-    ()
+    ~capacity (Policy.chernoff ~p_ce) estimator
 
 let gkk ~capacity ~p_ce ~prior_mu ~prior_var ~prior_weight =
-  check_p_ce p_ce;
+  let policy = Policy.gaussian ~p_ce in
   if not (prior_weight >= 0.0 && prior_weight <= 1.0) then
     invalid_arg "Controller.gkk: prior_weight outside [0,1]";
-  let alpha = Mbac_stats.Gaussian.q_inv p_ce in
   (* "One out, one in": after the criterion rejects (system judged full),
      no further admissions until a departure frees a slot.  This damps
      the admission rate when the system hovers at the boundary. *)
   let rec build ~blocked0 estimator =
     let blocked = ref blocked0 in
     let admissible obs =
-      if !blocked then Observation.count obs
+      let n = Observation.count obs in
+      if !blocked then n
       else begin
         let m =
           match Estimator.current estimator with
           | Some { Estimator.mu_hat; var_hat } ->
-              let mu =
-                (prior_weight *. prior_mu) +. ((1.0 -. prior_weight) *. mu_hat)
-              in
-              let var =
-                (prior_weight *. prior_var)
-                +. ((1.0 -. prior_weight) *. var_hat)
-              in
-              if mu <= 0.0 then Observation.count obs + 1
-              else Criterion.admissible ~capacity ~mu ~sigma:(sqrt var) ~alpha
-          | None -> Observation.count obs + 1
+              Policy.admissible policy ~capacity
+                ~mu:((prior_weight *. prior_mu)
+                    +. ((1.0 -. prior_weight) *. mu_hat))
+                ~var:((prior_weight *. prior_var)
+                     +. ((1.0 -. prior_weight) *. var_hat))
+                ~n
+          | None -> Policy.admissible policy ~capacity ~mu:nan ~var:nan ~n
         in
-        if m <= Observation.count obs then blocked := true;
+        if m <= n then blocked := true;
         m
       end
     in

@@ -57,11 +57,18 @@ val perfect : Params.t -> t
 (** Omniscient admission control: always allows exactly m* (eqn (4)).
     The yardstick every measurement-based scheme is compared against. *)
 
+val of_policy : name:string -> capacity:float -> Policy.t -> Estimator.t -> t
+(** The certainty-equivalent family, built once: [observe] feeds the
+    estimator, [admissible] is {!Policy.admissible} under its current
+    estimate (one flow at a time until it has a usable mean), [reset] and [copy]
+    act on the estimator.  Every scheme below except {!perfect},
+    {!peak_rate}, {!measured_sum} and {!gkk} is this constructor under a
+    fixed name. *)
+
 val certainty_equivalent : capacity:float -> p_ce:float -> Estimator.t -> t
 (** The generic certainty-equivalent MBAC: plug any estimator into the
-    Gaussian criterion (eqn (6)) run at target [p_ce].  While the
-    estimator has no estimate yet the controller admits one flow at a
-    time (cautious bootstrap).
+    Gaussian criterion (eqn (6)) run at target [p_ce]
+    ({!Policy.gaussian}).
     @raise Invalid_argument if [p_ce] is outside (0, 0.5]. *)
 
 val memoryless : capacity:float -> p_ce:float -> t
@@ -73,8 +80,9 @@ val with_memory : capacity:float -> p_ce:float -> t_m:float -> t
 
 val robust : Params.t -> t
 (** The paper's recommended design (§5.3): memory window T_m = T~_h and
-    the adjusted target p_ce from inverting eqn (38) — delivers ~p_q
-    across a wide range of unknown correlation time-scales. *)
+    the adjusted target from inverting eqn (38), run as an explicit
+    α_ce ({!Policy.of_alpha}) — delivers ~p_q across a wide range of
+    unknown correlation time-scales. *)
 
 (** {1 Baselines from related work (§6)} *)
 
@@ -94,7 +102,7 @@ val measured_sum :
 
 val hoeffding :
   capacity:float -> p_ce:float -> peak:float -> Estimator.t -> t
-(** Hoeffding-bound acceptance region: admit while
+(** Hoeffding-bound acceptance region ({!Policy.hoeffding}): admit while
     M mu_hat + peak sqrt(M ln(1/p_ce) / 2) <= capacity — a conservative
     distribution-free criterion (cf. Floyd's admission-control note),
     using only the measured mean and the declared peak. *)
@@ -102,16 +110,18 @@ val hoeffding :
 val chernoff :
   capacity:float -> p_ce:float -> Estimator.t -> t
 (** Chernoff/effective-bandwidth acceptance (Hui [14]) with a Gaussian
-    MGF built from the measured mean and variance: the paper's criterion
-    run at alpha = sqrt(2 ln(1/p_ce)) — uniformly more conservative than
-    the Q^{-1}(p_ce) criterion, exact in exponential order in the
-    large-deviations regime. *)
+    MGF built from the measured mean and variance ({!Policy.chernoff}):
+    the paper's criterion run at alpha = sqrt(2 ln(1/p_ce)) — uniformly
+    more conservative than the Q^{-1}(p_ce) criterion, exact in
+    exponential order in the large-deviations regime. *)
 
 val gkk :
   capacity:float -> p_ce:float -> prior_mu:float -> prior_var:float ->
   prior_weight:float -> t
 (** A Gibbens–Kelly–Key-style scheme: memoryless estimates smoothed
-    toward a fixed prior (weight in [0,1]) plus the "one-out, one-in"
-    back-off — after every admission, further admissions are blocked
-    until a departure.
-    @raise Invalid_argument if [prior_weight] outside [0,1]. *)
+    toward a fixed prior (weight in [0,1]), decided by
+    {!Policy.gaussian} at [p_ce], plus the "one-out, one-in" back-off —
+    after every admission, further admissions are blocked until a
+    departure.
+    @raise Invalid_argument if [p_ce] is outside (0, 0.5] or
+    [prior_weight] outside [0,1]. *)

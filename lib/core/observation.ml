@@ -12,17 +12,6 @@ let[@inline] make ~now ~n ~sum_rate ~sum_sq =
     invalid_arg "Observation.make: nonzero sums with zero flows";
   { now; n = float_of_int n; sum_rate; sum_sq }
 
-(* The admit fast path: the simulator has just added one flow of rate
-   [rate] to the aggregates this observation was built from, with exactly
-   these expressions, so the result is bit-for-bit [make] over the
-   updated state — without re-reading the state or re-validating.  [n]
-   stays integral, so the float increment is exact. *)
-let[@inline] admit t ~rate =
-  { now = t.now;
-    n = t.n +. 1.0;
-    sum_rate = t.sum_rate +. rate;
-    sum_sq = t.sum_sq +. (rate *. rate) }
-
 let[@inline] count t = int_of_float t.n
 
 let[@inline] cross_mean t = if t.n = 0.0 then nan else t.sum_rate /. t.n

@@ -15,13 +15,6 @@ type t = {
 val make : now:float -> n:int -> sum_rate:float -> sum_sq:float -> t
 (** @raise Invalid_argument on negative [n] or inconsistent sums. *)
 
-val admit : t -> rate:float -> t
-(** [admit t ~rate] is the observation after admitting one more flow of
-    rate [rate]: [n + 1], [sum_rate +. rate], [sum_sq +. rate²].
-    Bit-for-bit identical to rebuilding with {!make} from state updated
-    with the same expressions — the simulator's admit path uses it to
-    skip the second full observation pass per admission. *)
-
 val count : t -> int
 (** [n] as the int it always is. *)
 

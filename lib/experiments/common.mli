@@ -62,7 +62,8 @@ val rcbr_factory :
 val ce_controller :
   capacity:float -> t_m:float -> alpha_ce:float -> Mbac.Controller.t
 (** The certainty-equivalent MBAC used by the sweeps: EWMA estimator
-    with memory [t_m], Gaussian criterion at [alpha_ce].  Supports
+    with memory [t_m], Gaussian criterion at [alpha_ce]
+    ({!Mbac.Controller.of_policy} with {!Mbac.Policy.of_alpha}).  Supports
     {!Mbac.Controller.copy} (so it works under {!Mbac_sim.Splitting}). *)
 
 val run_mbac :

@@ -120,11 +120,10 @@ let g_shards = Handle.gauge "net_shards"
 
 (* ---------- per-link state ---------- *)
 
-(* The link's load, slot table and overflow episodes live in [l_load];
-   [l_tab] maps a flow key to its slot there. *)
+(* The link's load, controller, slot table and overflow episodes live
+   in [l_load]; [l_tab] maps a flow key to its slot there. *)
 type link_state = {
   l_id : int;
-  l_ctrl : Mbac.Controller.t;
   l_load : Link.t;
   l_tab : Int_table.t;
   mutable l_blocked : int;
@@ -173,37 +172,6 @@ type engine = {
   make_source : Mbac_stats.Rng.t -> start:float -> Mbac_traffic.Source.t;
   mutable windows : int;
 }
-
-(* ---------- link reservations ---------- *)
-
-(* The controller calls around the link's slot operations are
-   [Continuous_load]'s: the decision observes the link first, an
-   admission and a release are observed and reported, a renegotiation
-   observed. *)
-
-let admits eng l =
-  let obs = Link.observation l.l_load in
-  Mbac.Controller.observe l.l_ctrl obs;
-  let m = Mbac.Controller.admissible l.l_ctrl obs in
-  let n = Link.n l.l_load in
-  if n < m && n < eng.cfg.max_flows_per_link then Some obs else None
-
-let reserve l obs ~key ~rate =
-  Int_table.add l.l_tab ~key ~value:(Link.reserve l.l_load ~rate);
-  let obs' = Mbac.Observation.admit obs ~rate in
-  Mbac.Controller.observe l.l_ctrl obs';
-  Mbac.Controller.on_admit l.l_ctrl obs'
-
-let release l ~key ~slot =
-  Int_table.remove l.l_tab ~key;
-  Link.release l.l_load slot;
-  let obs = Link.observation l.l_load in
-  Mbac.Controller.observe l.l_ctrl obs;
-  Mbac.Controller.on_depart l.l_ctrl obs
-
-let renegotiate l ~slot ~rate =
-  Link.set_rate l.l_load slot rate;
-  Mbac.Controller.observe l.l_ctrl (Link.observation l.l_load)
 
 (* ---------- flow table and message arena ---------- *)
 
@@ -297,36 +265,38 @@ let handle_arrival eng sh ~te ~lr l =
   let route = sh.sr_route.(lr) in
   let rng = sh.sr_rng.(lr) in
   let links = eng.topo.routes.(route).Topology.links in
-  (match admits eng l with
-  | Some obs ->
-      let source = eng.make_source rng ~start:te in
-      let rate = Mbac_traffic.Source.rate source in
-      let fslot = flow_alloc sh in
-      let gen = sh.f_gen.(fslot) in
-      let seq = sh.sr_seq.(lr) in
-      sh.sr_seq.(lr) <- seq + 1;
-      reserve l obs ~key:(flow_key ~route ~seq) ~rate;
-      sh.f_route.(fslot) <- route;
-      sh.f_seq.(fslot) <- seq;
-      sh.f_sources.(fslot) <- Some source;
-      let holding =
-        Mbac_stats.Sample.exponential rng ~mean:eng.cfg.holding_time_mean
-      in
-      let t_end = te +. holding in
-      CQ.push sh.wheel ~time:t_end
-        (encode ~tag:tag_depart ~slot:fslot ~gen ~route);
-      if Array.length links = 1 then begin
-        CQ.push sh.wheel
-          ~time:(Mbac_traffic.Source.next_change source)
-          (encode ~tag:tag_change ~slot:fslot ~gen ~route);
-        sh.sh_admitted <- sh.sh_admitted + 1
-      end
-      else
-        send_msg eng sh ~time:(te +. eng.d) ~kind:k_setup ~link:links.(1)
-          ~hop:1 ~route ~seq ~islot:fslot ~igen:gen ~rate ~t_end
-  | None ->
-      l.l_blocked <- l.l_blocked + 1;
-      sh.sh_blocked <- sh.sh_blocked + 1);
+  if Link.room l.l_load (Link.observe l.l_load) then begin
+    let source = eng.make_source rng ~start:te in
+    let rate = Mbac_traffic.Source.rate source in
+    let fslot = flow_alloc sh in
+    let gen = sh.f_gen.(fslot) in
+    let seq = sh.sr_seq.(lr) in
+    sh.sr_seq.(lr) <- seq + 1;
+    Int_table.add l.l_tab ~key:(flow_key ~route ~seq)
+      ~value:(Link.admit l.l_load ~rate);
+    sh.f_route.(fslot) <- route;
+    sh.f_seq.(fslot) <- seq;
+    sh.f_sources.(fslot) <- Some source;
+    let holding =
+      Mbac_stats.Sample.exponential rng ~mean:eng.cfg.holding_time_mean
+    in
+    let t_end = te +. holding in
+    CQ.push sh.wheel ~time:t_end
+      (encode ~tag:tag_depart ~slot:fslot ~gen ~route);
+    if Array.length links = 1 then begin
+      CQ.push sh.wheel
+        ~time:(Mbac_traffic.Source.next_change source)
+        (encode ~tag:tag_change ~slot:fslot ~gen ~route);
+      sh.sh_admitted <- sh.sh_admitted + 1
+    end
+    else
+      send_msg eng sh ~time:(te +. eng.d) ~kind:k_setup ~link:links.(1)
+        ~hop:1 ~route ~seq ~islot:fslot ~igen:gen ~rate ~t_end
+  end
+  else begin
+    l.l_blocked <- l.l_blocked + 1;
+    sh.sh_blocked <- sh.sh_blocked + 1
+  end;
   CQ.push sh.wheel
     ~time:
       (te +. Mbac_stats.Sample.exponential rng ~mean:sh.sr_arrival_mean.(lr))
@@ -336,7 +306,9 @@ let handle_depart sh ~fslot ~gen l =
   match sh.f_sources.(fslot) with
   | Some _ when sh.f_gen.(fslot) land gen_mask = gen ->
       let key = flow_key ~route:sh.f_route.(fslot) ~seq:sh.f_seq.(fslot) in
-      release l ~key ~slot:(Int_table.find l.l_tab ~key);
+      let slot = Int_table.find l.l_tab ~key in
+      Int_table.remove l.l_tab ~key;
+      ignore (Link.depart l.l_load slot : Mbac.Observation.t);
       flow_free sh fslot;
       sh.sh_departed <- sh.sh_departed + 1
   | Some _ | None -> () (* stale: flow rejected downstream and freed *)
@@ -348,9 +320,11 @@ let handle_change eng sh ~te ~fslot ~gen l =
       let desired = Mbac_traffic.Source.rate source in
       let route = sh.f_route.(fslot) in
       let seq = sh.f_seq.(fslot) in
-      renegotiate l
-        ~slot:(Int_table.find l.l_tab ~key:(flow_key ~route ~seq))
-        ~rate:desired;
+      ignore
+        (Link.renegotiate l.l_load
+           (Int_table.find l.l_tab ~key:(flow_key ~route ~seq))
+           desired
+          : Mbac.Observation.t);
       CQ.push sh.wheel
         ~time:(Mbac_traffic.Source.next_change source)
         (encode ~tag:tag_change ~slot:fslot ~gen ~route);
@@ -370,26 +344,27 @@ let handle_msg eng sh ~te ~idx l =
   let links = eng.topo.routes.(route).Topology.links in
   let key = flow_key ~route ~seq in
   if kind = k_setup then begin
-    match admits eng l with
-    | Some obs ->
-        reserve l obs ~key ~rate;
-        (* the link releases itself at the flow's own end time, shifted by
-           the same per-hop delay its setup took: no departure messages *)
-        push_local sh
-          ~time:(t_end +. (float_of_int hop *. eng.d))
-          ~kind:k_selfrel ~link:l.l_id ~hop ~route ~seq ~islot:0 ~igen:0
-          ~rate:0.0 ~t_end:0.0;
-        if hop = Array.length links - 1 then
-          send_msg eng sh ~time:(te +. eng.d) ~kind:k_confirm ~link:links.(0)
-            ~hop:0 ~route ~seq ~islot ~igen ~rate:0.0 ~t_end:0.0
-        else
-          send_msg eng sh ~time:(te +. eng.d) ~kind:k_setup
-            ~link:links.(hop + 1) ~hop:(hop + 1) ~route ~seq ~islot ~igen
-            ~rate ~t_end
-    | None ->
-        l.l_blocked <- l.l_blocked + 1;
-        send_msg eng sh ~time:(te +. eng.d) ~kind:k_reject ~link:links.(0)
-          ~hop ~route ~seq ~islot ~igen ~rate:0.0 ~t_end:0.0
+    if Link.room l.l_load (Link.observe l.l_load) then begin
+      Int_table.add l.l_tab ~key ~value:(Link.admit l.l_load ~rate);
+      (* the link releases itself at the flow's own end time, shifted by
+         the same per-hop delay its setup took: no departure messages *)
+      push_local sh
+        ~time:(t_end +. (float_of_int hop *. eng.d))
+        ~kind:k_selfrel ~link:l.l_id ~hop ~route ~seq ~islot:0 ~igen:0
+        ~rate:0.0 ~t_end:0.0;
+      if hop = Array.length links - 1 then
+        send_msg eng sh ~time:(te +. eng.d) ~kind:k_confirm ~link:links.(0)
+          ~hop:0 ~route ~seq ~islot ~igen ~rate:0.0 ~t_end:0.0
+      else
+        send_msg eng sh ~time:(te +. eng.d) ~kind:k_setup
+          ~link:links.(hop + 1) ~hop:(hop + 1) ~route ~seq ~islot ~igen
+          ~rate ~t_end
+    end
+    else begin
+      l.l_blocked <- l.l_blocked + 1;
+      send_msg eng sh ~time:(te +. eng.d) ~kind:k_reject ~link:links.(0)
+        ~hop ~route ~seq ~islot ~igen ~rate:0.0 ~t_end:0.0
+    end
   end
   else if kind = k_confirm then begin
     match sh.f_sources.(islot) with
@@ -400,7 +375,7 @@ let handle_msg eng sh ~te ~idx l =
         let desired = Mbac_traffic.Source.rate source in
         let slot = Int_table.find l.l_tab ~key in
         if desired <> Link.rate l.l_load slot then begin
-          renegotiate l ~slot ~rate:desired;
+          ignore (Link.renegotiate l.l_load slot desired : Mbac.Observation.t);
           send_updates eng sh ~te ~route ~seq ~rate:desired
         end;
         CQ.push sh.wheel
@@ -413,7 +388,9 @@ let handle_msg eng sh ~te ~idx l =
     match sh.f_sources.(islot) with
     | Some _ when sh.f_gen.(islot) = igen ->
         sh.sh_blocked <- sh.sh_blocked + 1;
-        release l ~key ~slot:(Int_table.find l.l_tab ~key);
+        let slot = Int_table.find l.l_tab ~key in
+        Int_table.remove l.l_tab ~key;
+        ignore (Link.depart l.l_load slot : Mbac.Observation.t);
         flow_free sh islot; (* invalidates the pending depart event *)
         for h = 1 to hop - 1 do
           send_msg eng sh ~time:(te +. eng.d) ~kind:k_release
@@ -427,8 +404,12 @@ let handle_msg eng sh ~te ~idx l =
     (* absent: already released here (by the other of release and
        self-release, or before a late update) *)
     if slot >= 0 then
-      if kind = k_update then renegotiate l ~slot ~rate
-      else release l ~key ~slot
+      if kind = k_update then
+        ignore (Link.renegotiate l.l_load slot rate : Mbac.Observation.t)
+      else begin
+        Int_table.remove l.l_tab ~key;
+        ignore (Link.depart l.l_load slot : Mbac.Observation.t)
+      end
   end
 
 (* ---------- shard drain ---------- *)
@@ -607,13 +588,12 @@ let build ~seed cfg ~make_controller ~make_source =
           Array.map
             (fun id ->
               let capacity = topo.Topology.capacities.(id) in
-              let ctrl = make_controller ~link:id ~capacity in
-              Mbac.Controller.reset ctrl;
               { l_id = id;
-                l_ctrl = ctrl;
                 l_load =
                   Link.create ~capacity ~warmup:cfg.warmup
-                    ~batch_length:cfg.batch_length;
+                    ~batch_length:cfg.batch_length
+                    ~controller:(make_controller ~link:id ~capacity)
+                    ~max_flows:cfg.max_flows_per_link;
                 l_tab = Int_table.create ();
                 l_blocked = 0 })
             link_ids
@@ -652,14 +632,10 @@ let build ~seed cfg ~make_controller ~make_source =
       ex = Exchange.create ~shards:cfg.shards; make_source; windows = 0 }
   in
   (* Initial conditions mirror [Continuous_load.start]: each controller
-     sees the empty observation, then each ingress route draws its first
-     inter-arrival gap from its own stream. *)
+     has seen its empty link ([Link.create]), then each ingress route
+     draws its first inter-arrival gap from its own stream. *)
   Array.iter
     (fun sh ->
-      Array.iter
-        (fun l ->
-          Mbac.Controller.observe l.l_ctrl (Link.observation l.l_load))
-        sh.links;
       Array.iteri
         (fun lr r ->
           CQ.push sh.wheel

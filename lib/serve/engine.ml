@@ -1,10 +1,6 @@
-type criterion_spec =
-  | Gaussian of { cname : string; p_ce : float }
-  | Hoeffding of { cname : string; p_ce : float; peak : float }
-
 type config = {
   capacity : float;
-  criteria : criterion_spec list;
+  criteria : (string * Mbac.Policy.t) list;
   estimator : Mbac.Estimator.t;
   measure_every : int;
 }
@@ -40,37 +36,16 @@ let fp_sq fp =
   let l = fp_to_float fp in
   int_of_float (Float.round (l *. l *. fp_scale_f))
 
-(* ---------- compiled criteria ---------- *)
-
-(* [sigma_override = nan] means "use the measured sigma"; Hoeffding's
-   distribution-free bound replaces sigma*alpha by
-   peak * sqrt(ln(1/p)/2) with alpha = 1 (same quadratic). *)
-type crit = { cr_name : string; cr_alpha : float; cr_sigma_override : float }
-
-let compile_criterion = function
-  | Gaussian { cname; p_ce } ->
-      if not (p_ce > 0.0 && p_ce <= 0.5) then
-        invalid_arg "Engine: criterion requires 0 < p_ce <= 0.5";
-      { cr_name = cname; cr_alpha = Mbac_stats.Gaussian.q_inv p_ce;
-        cr_sigma_override = nan }
-  | Hoeffding { cname; p_ce; peak } ->
-      if not (p_ce > 0.0 && p_ce <= 0.5) then
-        invalid_arg "Engine: criterion requires 0 < p_ce <= 0.5";
-      if not (peak > 0.0) then invalid_arg "Engine: criterion requires peak > 0";
-      { cr_name = cname; cr_alpha = 1.0;
-        cr_sigma_override = peak *. sqrt (log (1.0 /. p_ce) /. 2.0) }
-
 (* ---------- the published estimate record ---------- *)
 
-(* Immutable: swapped whole through one Atomic.  [p_m] empty = bootstrap
-   (no usable estimate yet).  Capacity lives here too, so [initialize]
+(* Immutable: swapped whole through one Atomic.  [p_mu] nan = no usable
+   estimate yet (bootstrap).  Capacity lives here too, so [initialize]
    retargets the fast path with the same single publication step. *)
 type published = {
   p_capacity : float;
   p_capacity_fp : int;
-  p_mu : float;     (* nan during bootstrap *)
-  p_sigma : float;
-  p_m : int array;
+  p_mu : float;
+  p_var : float;
   p_updates : int;
 }
 
@@ -80,7 +55,8 @@ type background = {
 }
 
 type t = {
-  crits : crit array;
+  names : string array;
+  policies : Mbac.Policy.t array;
   estimator : Mbac.Estimator.t;
   measure_every : int;
   (* fast-path state *)
@@ -121,7 +97,7 @@ let check_capacity capacity =
 
 let bootstrap ~capacity ~updates =
   { p_capacity = capacity; p_capacity_fp = fp_of_load capacity; p_mu = nan;
-    p_sigma = nan; p_m = [||]; p_updates = updates }
+    p_var = nan; p_updates = updates }
 
 let create ?decision_log (config : config) =
   check_capacity config.capacity;
@@ -130,7 +106,8 @@ let create ?decision_log (config : config) =
     invalid_arg "Engine: at most 65535 criteria (u16 on the wire)";
   if config.measure_every < 0 then
     invalid_arg "Engine: measure_every must be >= 0";
-  { crits = Array.of_list (List.map compile_criterion config.criteria);
+  { names = Array.of_list (List.map fst config.criteria);
+    policies = Array.of_list (List.map snd config.criteria);
     estimator = config.estimator;
     measure_every = config.measure_every;
     flows = Atomic.make 0;
@@ -147,7 +124,7 @@ let create ?decision_log (config : config) =
     decision_log;
     bg = None }
 
-let criterion_names t = Array.map (fun c -> c.cr_name) t.crits
+let criterion_names t = Array.copy t.names
 
 (* ---------- measurement path ---------- *)
 
@@ -165,28 +142,13 @@ let run_measurement t ~now =
           (Mbac.Observation.make ~now ~n ~sum_rate:(fp_to_float sum_fp)
              ~sum_sq:(fp_to_float sumsq_fp));
       let prev = Atomic.get t.published in
-      let next =
+      let mu, var =
         match Mbac.Estimator.snapshot_estimate t.estimator with
-        | Some { Mbac.Estimator.mu; var } when mu > 0.0 ->
-            let sigma = sqrt (Float.max 0.0 var) in
-            let m =
-              Array.map
-                (fun c ->
-                  let s =
-                    if Float.is_nan c.cr_sigma_override then sigma
-                    else c.cr_sigma_override
-                  in
-                  Mbac.Criterion.admissible ~capacity:prev.p_capacity ~mu
-                    ~sigma:s ~alpha:c.cr_alpha)
-                t.crits
-            in
-            { prev with p_mu = mu; p_sigma = sigma; p_m = m;
-              p_updates = prev.p_updates + 1 }
-        | Some _ | None ->
-            { prev with p_mu = nan; p_sigma = nan; p_m = [||];
-              p_updates = prev.p_updates + 1 }
+        | Some { Mbac.Estimator.mu; var } -> (mu, var)
+        | None -> (nan, nan)
       in
-      Atomic.set t.published next;
+      Atomic.set t.published
+        { prev with p_mu = mu; p_var = var; p_updates = prev.p_updates + 1 };
       H.inc m_updates;
       H.set_gauge m_flows (float_of_int n);
       H.set_gauge m_load (fp_to_float sum_fp))
@@ -211,8 +173,9 @@ let decide t ~criterion ~load =
   let pub = Atomic.get t.published in
   let n = Atomic.get t.flows in
   let m =
-    if Array.length pub.p_m = 0 then n + 1
-    else Array.unsafe_get pub.p_m criterion
+    Mbac.Policy.admissible
+      (Array.unsafe_get t.policies criterion)
+      ~capacity:pub.p_capacity ~mu:pub.p_mu ~var:pub.p_var ~n
   in
   let headroom =
     Atomic.get t.load_fp + fp_of_load load <= pub.p_capacity_fp
@@ -255,7 +218,7 @@ let log_decision t ~criterion ~admit =
         Mbac_telemetry.Json.(
           obj
             [ ("seq", int seq);
-              ("criterion", string t.crits.(criterion).cr_name);
+              ("criterion", string t.names.(criterion));
               ("admit", bool admit);
               ("flows", int (Atomic.get t.flows)) ])
       in
@@ -292,7 +255,7 @@ let handle t (req : Protocol.request) : Protocol.response =
         Protocol.Ok_reply
       end
   | Protocol.Decide { criterion; load; now = _ } ->
-      if criterion >= Array.length t.crits then
+      if criterion >= Array.length t.names then
         Protocol.Error_reply { code = 2; message = "criterion out of range" }
       else if not (valid_load load) then
         Protocol.Error_reply { code = 3; message = "load out of range" }
@@ -316,7 +279,7 @@ let handle t (req : Protocol.request) : Protocol.response =
         Protocol.Ok_reply
       end
   | Protocol.Log_decision { criterion; admit } ->
-      if criterion >= Array.length t.crits then
+      if criterion >= Array.length t.names then
         Protocol.Error_reply { code = 2; message = "criterion out of range" }
       else begin
         log_decision t ~criterion ~admit;

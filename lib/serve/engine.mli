@@ -13,31 +13,25 @@
       fetch-and-add on the counters;
     - the {e measurement path} ({!run_measurement}) is the only place
       the estimator state is touched.  It reads the counters as one
-      cross-section, feeds the estimator, recomputes every criterion's
-      admissible count, and publishes a fresh immutable {!published}
-      record with a single [Atomic.set].  Deciders can never observe a
-      torn estimate: they either see the whole old record or the whole
-      new one.  Measurement runs inline every [measure_every]-th
-      accounting call (deterministic, single-threaded replay) or on a
-      background domain ({!start_background}, wall-clock daemons).
+      cross-section, feeds the estimator, and publishes the estimate
+      (mû, σ̂²) in a fresh immutable record with a single [Atomic.set].
+      Deciders can never observe a torn estimate: they either see the
+      whole old record or the whole new one.  Measurement runs inline
+      every [measure_every]-th accounting call (deterministic,
+      single-threaded replay) or on a background domain
+      ({!start_background}, wall-clock daemons).
 
     Loads cross the counter boundary in fixed point at {!fp_scale}
     units per load unit, so per-flow loads are quantized to
     [1/fp_scale] (documented in SERVING.md); the same quantization is
     applied on every path, which is what makes replay byte-exact. *)
 
-type criterion_spec =
-  | Gaussian of { cname : string; p_ce : float }
-      (** The paper's certainty-equivalent Gaussian criterion (eqn (6))
-          at target [p_ce], driven by the measured mean and variance. *)
-  | Hoeffding of { cname : string; p_ce : float; peak : float }
-      (** Distribution-free Hoeffding bound at target [p_ce] for flows
-          of declared peak rate [peak], driven by the measured mean
-          only. *)
-
 type config = {
   capacity : float;              (** initial link capacity (> 0, finite) *)
-  criteria : criterion_spec list;  (** nonempty; [Decide] indexes into it *)
+  criteria : (string * Mbac.Policy.t) list;
+      (** named admission policies — the simulators' controllers decide
+          through the same {!Mbac.Policy}; nonempty; [Decide] indexes
+          into it, and the name labels the decision log *)
   estimator : Mbac.Estimator.t;
       (** owned by the engine's measurement path from here on; do not
           observe or read it elsewhere *)
@@ -66,9 +60,9 @@ val fp_scale : int
 (** Fixed-point units per load unit (2{^20}). *)
 
 val create : ?decision_log:Buffer.t -> config -> t
-(** @raise Invalid_argument on empty criteria, [p_ce] outside (0, 0.5],
-    non-positive [peak], non-finite or non-positive [capacity], negative
-    [measure_every], or more than 65535 criteria. *)
+(** @raise Invalid_argument on empty criteria, non-finite or
+    non-positive [capacity], negative [measure_every], or more than
+    65535 criteria. *)
 
 val criterion_names : t -> string array
 
@@ -78,10 +72,13 @@ val initialize : t -> capacity:float -> unit
     @raise Invalid_argument on non-finite or non-positive capacity. *)
 
 val decide : t -> criterion:int -> load:float -> decision
-(** Wait-free.  Admit iff [flows < M(criterion)] under the published
-    estimates {e and} the admitted load plus [load] fits the capacity.
-    While no estimate is published yet (bootstrap), [M = flows + 1] —
-    one flow at a time, like the controllers' cautious bootstrap.
+(** Wait-free.  Admit iff [flows < M(criterion)] {e and} the admitted
+    load plus [load] fits the capacity, where [M] is
+    {!Mbac.Policy.admissible} of the criterion's policy under the
+    published estimate and the current flow count — the number a
+    controller of the same policy answers on the same cross-section,
+    including its cautious bootstrap ([M = flows + 1] while no usable
+    estimate is published).
     Counts into the [serve_decisions/admit/reject] metrics.  The caller
     is responsible for [criterion] being in range and [load] being
     finite and non-negative ({!handle} validates wire input). *)
@@ -99,8 +96,7 @@ val log_decision : t -> criterion:int -> admit:bool -> unit
 
 val run_measurement : t -> now:float -> unit
 (** One measurement pass (serialized by an internal mutex): counters →
-    cross-section → estimator → per-criterion admissible counts →
-    publish. *)
+    cross-section → estimator → publish the estimate. *)
 
 val stats : t -> stats
 

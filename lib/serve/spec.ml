@@ -8,12 +8,12 @@ let float_field ~what s =
 let criterion_of_string entry =
   match String.split_on_char ':' entry with
   | [ "ce"; p ] ->
-      Engine.Gaussian { cname = entry; p_ce = float_field ~what:"p_ce" p }
+      (entry, Mbac.Policy.gaussian ~p_ce:(float_field ~what:"p_ce" p))
   | [ "hoeffding"; p; peak ] ->
-      Engine.Hoeffding
-        { cname = entry;
-          p_ce = float_field ~what:"p_ce" p;
-          peak = float_field ~what:"peak" peak }
+      ( entry,
+        Mbac.Policy.hoeffding
+          ~p_ce:(float_field ~what:"p_ce" p)
+          ~peak:(float_field ~what:"peak" peak) )
   | _ ->
       invalid
         "Spec: bad criterion %S (want ce:<p_ce> or hoeffding:<p_ce>:<peak>)"

@@ -2,10 +2,10 @@
     and [bench --serve], so the daemon and the in-process toy paths are
     configured with identical syntax. *)
 
-val criteria_of_string : string -> Engine.criterion_spec list
+val criteria_of_string : string -> (string * Mbac.Policy.t) list
 (** Comma-separated criterion specs.  Each entry is either
-    [ce:<p_ce>] (Gaussian certainty-equivalent) or
-    [hoeffding:<p_ce>:<peak>]; the full entry text is the criterion's
+    [ce:<p_ce>] ({!Mbac.Policy.gaussian}) or [hoeffding:<p_ce>:<peak>]
+    ({!Mbac.Policy.hoeffding}); the full entry text is the criterion's
     name in decision logs and reports.
     @raise Invalid_argument on syntax or range errors. *)
 

@@ -91,19 +91,18 @@ type cursor = {
   mutable c_time : float;
 }
 
-(* The link's load lives in [link]; its slot table doubles as the flow
-   table: [sources] and [gens] are indexed by the same slots.  The
-   link's granted rate equals the source's desired rate except when an
-   upward renegotiation was blocked under [`Renegotiation_blocking].  A
-   slot is live iff [sources.(slot)] is [Some _]; its generation counts
-   how many flows have occupied it.  Admissions, departures and
-   renegotiations are the link's [reserved], [released] and [updates]
-   counts. *)
+(* The link's load and controller live in [link]; its slot table
+   doubles as the flow table: [sources] and [gens] are indexed by the
+   same slots.  The link's granted rate equals the source's desired rate
+   except when an upward renegotiation was blocked under
+   [`Renegotiation_blocking].  A slot is live iff [sources.(slot)] is
+   [Some _]; its generation counts how many flows have occupied it.
+   Admissions, departures and renegotiations are the link's [reserved],
+   [released] and [updates] counts. *)
 type state = {
   cfg : config;
   arrival_mean : float; (* 1/rate for `Poisson, hoisted; nan for `Infinite *)
   rng : Mbac_stats.Rng.t;
-  controller : Mbac.Controller.t;
   make_source : Mbac_stats.Rng.t -> start:float -> Mbac_traffic.Source.t;
   queue : Calendar_queue.t;
   link : Link.t;
@@ -161,14 +160,10 @@ let grow_flow_table s =
   s.sources <- Array.append s.sources (Array.make extra None);
   s.gens <- Array.append s.gens (Array.make extra 0)
 
-(* Returns the granted rate so callers can advance their observation
-   incrementally ({!Mbac.Observation.admit}) instead of re-reading the
-   state they just updated. *)
 let admit_one s =
   let now = Link.now s.link in
   let source = s.make_source s.rng ~start:now in
-  let r = Mbac_traffic.Source.rate source in
-  let slot = Link.reserve s.link ~rate:r in
+  let slot = Link.admit s.link ~rate:(Mbac_traffic.Source.rate source) in
   if slot > slot_mask then
     invalid_arg "Continuous_load: more concurrent flows than slot bits";
   if slot = Array.length s.sources then grow_flow_table s;
@@ -180,37 +175,22 @@ let admit_one s =
   Calendar_queue.push s.queue ~time:(now +. holding)
     (encode ~tag:tag_depart ~slot ~gen);
   Calendar_queue.push s.queue ~time:(Mbac_traffic.Source.next_change source)
-    (encode ~tag:tag_change ~slot ~gen);
-  r
-
-(* One admission decision on [obs], which must describe the current
-   state: admit a fresh flow if the controller allows one more, and
-   return the observation after it.  The admission is observed before
-   any further decision, so the controller reacts to its own
-   admissions. *)
-let admit_if_room s obs =
-  let m = Mbac.Controller.admissible s.controller obs in
-  let n = Link.n s.link in
-  if n < m && n < s.cfg.max_flows then begin
-    let obs' = Mbac.Observation.admit obs ~rate:(admit_one s) in
-    Mbac.Controller.observe s.controller obs';
-    Mbac.Controller.on_admit s.controller obs';
-    Some obs'
-  end
-  else None
+    (encode ~tag:tag_change ~slot ~gen)
 
 (* Infinite offered load: admit while the controller allows more flows
-   than are present.  Callers have always just built [obs] for their
-   own controller notification, so the common no-admission case costs
-   no fresh observation. *)
+   than are present, deciding on [obs], the state the controller last
+   saw.  Each admission is observed before the next decision, so the
+   controller reacts to its own admissions. *)
 let rec try_admit s obs =
-  match admit_if_room s obs with Some obs' -> try_admit s obs' | None -> ()
+  if Link.room s.link obs then begin
+    admit_one s;
+    try_admit s (Link.observation s.link)
+  end
 
 (* One arriving flow under the Poisson process: a single yes/no decision. *)
 let handle_arrival s =
-  let obs = Link.observation s.link in
-  Mbac.Controller.observe s.controller obs;
-  if Option.is_none (admit_if_room s obs) then s.blocked <- s.blocked + 1;
+  if Link.room s.link (Link.observe s.link) then admit_one s
+  else s.blocked <- s.blocked + 1;
   Calendar_queue.push s.queue
     ~time:
       (Link.now s.link
@@ -362,11 +342,7 @@ let handle_depart s slot gen =
   | Some _ when s.gens.(slot) = gen ->
       s.sources.(slot) <- None;
       s.gens.(slot) <- gen + 1;
-      Link.release s.link slot;
-      let obs = Link.observation s.link in
-      Mbac.Controller.observe s.controller obs;
-      Mbac.Controller.on_depart s.controller obs;
-      refill s obs
+      refill s (Link.depart s.link slot)
   | Some _ | None ->
       (* cannot happen for departures; kept safe *)
       refill s (Link.observation s.link)
@@ -392,12 +368,10 @@ let handle_change s slot gen =
                 > s.cfg.capacity ->
           s.reneg_failures <- s.reneg_failures + 1
       | `Renegotiation_blocking | `Bufferless | `Buffered _ -> ());
-      Link.set_rate s.link slot desired;
+      let obs = Link.renegotiate s.link slot desired in
       Calendar_queue.push s.queue
         ~time:(Mbac_traffic.Source.next_change source)
         (encode ~tag:tag_change ~slot ~gen);
-      let obs = Link.observation s.link in
-      Mbac.Controller.observe s.controller obs;
       refill s obs
   | Some _ | None ->
       (* stale event of a departed flow (or of a reused slot) *)
@@ -430,18 +404,18 @@ let start rng cfg ~controller ~make_source =
   | `Poisson rate when rate <= 0.0 ->
       invalid_arg "Continuous_load.run: Poisson rate <= 0"
   | `Poisson _ | `Infinite -> ());
-  Mbac.Controller.reset controller;
   let s =
     { cfg;
       arrival_mean =
         (match cfg.arrival with
         | `Poisson rate -> 1.0 /. rate
         | `Infinite -> nan);
-      rng; controller; make_source;
+      rng; make_source;
       queue = Calendar_queue.create ();
       link =
         Link.create ~capacity:cfg.capacity ~warmup:cfg.warmup
-          ~batch_length:cfg.batch_length;
+          ~batch_length:cfg.batch_length ~controller
+          ~max_flows:cfg.max_flows;
       sources = [||];
       gens = [||];
       buffer =
@@ -467,14 +441,12 @@ let start rng cfg ~controller ~make_source =
       [ ("controller",
          Mbac_telemetry.Trace.Str (Mbac.Controller.name controller));
         ("capacity", Mbac_telemetry.Trace.Float cfg.capacity) ];
-  (let obs0 = Link.observation s.link in
-   Mbac.Controller.observe controller obs0;
-   match cfg.arrival with
-   | `Infinite -> try_admit s obs0
-   | `Poisson _ ->
-       Calendar_queue.push s.queue
-         ~time:(Mbac_stats.Sample.exponential s.rng ~mean:s.arrival_mean)
-         tag_arrive);
+  (match cfg.arrival with
+  | `Infinite -> try_admit s (Link.observation s.link)
+  | `Poisson _ ->
+      Calendar_queue.push s.queue
+        ~time:(Mbac_stats.Sample.exponential s.rng ~mean:s.arrival_mean)
+        tag_arrive);
   s
 
 let[@inline] now s = Link.now s.link
@@ -501,7 +473,6 @@ let[@inline] step s =
 let clone s ~rng =
   { s with
     rng;
-    controller = Mbac.Controller.copy s.controller;
     queue = Calendar_queue.copy s.queue;
     link = Link.copy s.link;
     sources =

@@ -14,6 +14,8 @@ type hot = {
    second array to tell live slots apart. *)
 type t = {
   capacity : float;
+  max_flows : int;
+  controller : Mbac.Controller.t;
   meas : Measurement.t;
   hot : hot;
   slots : Slots.t;
@@ -29,21 +31,31 @@ type t = {
 
 type transition = Steady | Opened | Closed
 
-let create ~capacity ~warmup ~batch_length =
-  { capacity;
-    meas =
-      Measurement.create ~sample_spacing:batch_length ~capacity ~warmup
-        ~batch_length ();
-    hot =
-      { last_t = 0.0; sum_rate = 0.0; sum_sq = 0.0; ovf_start = nan;
-        ovf_excess = 0.0; ovf_time = 0.0 };
-    slots = Slots.create ();
-    granted = Float.Array.create 0;
-    n = 0; events = 0; in_episode = false; episodes = 0;
-    reserved = 0; released = 0; updates = 0 }
+let[@inline] observation l =
+  Mbac.Observation.make ~now:l.hot.last_t ~n:l.n ~sum_rate:l.hot.sum_rate
+    ~sum_sq:l.hot.sum_sq
+
+let create ~capacity ~warmup ~batch_length ~controller ~max_flows =
+  Mbac.Controller.reset controller;
+  let l =
+    { capacity; max_flows; controller;
+      meas =
+        Measurement.create ~sample_spacing:batch_length ~capacity ~warmup
+          ~batch_length ();
+      hot =
+        { last_t = 0.0; sum_rate = 0.0; sum_sq = 0.0; ovf_start = nan;
+          ovf_excess = 0.0; ovf_time = 0.0 };
+      slots = Slots.create ();
+      granted = Float.Array.create 0;
+      n = 0; events = 0; in_episode = false; episodes = 0;
+      reserved = 0; released = 0; updates = 0 }
+  in
+  Mbac.Controller.observe controller (observation l);
+  l
 
 let copy l =
   { l with
+    controller = Mbac.Controller.copy l.controller;
     meas = Measurement.copy l.meas;
     hot = { l.hot with last_t = l.hot.last_t };
     slots = Slots.copy l.slots;
@@ -55,10 +67,6 @@ let[@inline] now l = l.hot.last_t
 let[@inline] n l = l.n
 let[@inline] sum_rate l = l.hot.sum_rate
 let[@inline] sum_sq l = l.hot.sum_sq
-
-let[@inline] observation l =
-  Mbac.Observation.make ~now:l.hot.last_t ~n:l.n ~sum_rate:l.hot.sum_rate
-    ~sum_sq:l.hot.sum_sq
 
 let grow l =
   let cap = Float.Array.length l.granted in
@@ -101,6 +109,34 @@ let[@inline] set_rate l slot desired =
 let reserved l = l.reserved
 let released l = l.released
 let updates l = l.updates
+
+(* The admission sequence: every change of the link's load is shown to
+   its controller, in the order both simulators have always issued the
+   calls — the decision observes first, an admission and a departure are
+   observed and then reported, a renegotiation only observed. *)
+
+let[@inline] observe l =
+  let obs = observation l in
+  Mbac.Controller.observe l.controller obs;
+  obs
+
+let[@inline] room l obs =
+  l.n < Mbac.Controller.admissible l.controller obs && l.n < l.max_flows
+
+let admit l ~rate =
+  let slot = reserve l ~rate in
+  Mbac.Controller.on_admit l.controller (observe l);
+  slot
+
+let depart l slot =
+  release l slot;
+  let obs = observe l in
+  Mbac.Controller.on_depart l.controller obs;
+  obs
+
+let[@inline] renegotiate l slot rate =
+  set_rate l slot rate;
+  observe l
 
 (* An episode opens when the load first exceeds capacity and closes on
    the first segment back at or under it. *)

@@ -159,7 +159,7 @@ let run_serve_paths () =
   let engine =
     Mbac_serve.Engine.create
       { Mbac_serve.Engine.capacity = 10.0;
-        criteria = [ Mbac_serve.Engine.Gaussian { cname = "ce"; p_ce = 0.01 } ];
+        criteria = [ ("ce", Mbac.Policy.gaussian ~p_ce:0.01) ];
         estimator = Mbac.Estimator.memoryless ();
         measure_every = 1 }
   in

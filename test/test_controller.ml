@@ -54,7 +54,7 @@ let test_ce_never_negative =
 
 let test_ce_invalid_p () =
   Alcotest.check_raises "p_ce > 0.5"
-    (Invalid_argument "Controller: requires 0 < p_ce <= 0.5") (fun () ->
+    (Invalid_argument "Policy: requires 0 < p_ce <= 0.5") (fun () ->
       ignore (Mbac.Controller.memoryless ~capacity ~p_ce:0.9))
 
 let test_robust_more_conservative () =

@@ -10,8 +10,8 @@ module P = Mbac_serve.Protocol
 let config ?(capacity = 100.0) ?(measure_every = 0) () =
   { E.capacity;
     criteria =
-      [ E.Gaussian { cname = "ce:0.01"; p_ce = 0.01 };
-        E.Hoeffding { cname = "hoeffding:0.01:2.0"; p_ce = 0.01; peak = 2.0 } ];
+      [ ("ce:0.01", Mbac.Policy.gaussian ~p_ce:0.01);
+        ("hoeffding:0.01:2.0", Mbac.Policy.hoeffding ~p_ce:0.01 ~peak:2.0) ];
     estimator = Mbac.Estimator.memoryless ();
     measure_every }
 
@@ -143,6 +143,106 @@ let test_loadgen_replay_identical () =
     (List.length
        (String.split_on_char '\n' log1 |> List.filter (fun l -> l <> "")))
 
+(* ---------- serve against the simulators' controllers ---------- *)
+
+(* The engine and a controller of the same policy, fed the same
+   cross-sections through identical estimators, must admit the same
+   number of flows after every measurement.  Loads sit on a 2^-10 grid,
+   so each load and its square are exact in the engine's 2^-20 fixed
+   point and both sides see the same sums. *)
+type step = Add of int | Remove of int | Measure
+
+let show_step = function
+  | Add k -> Printf.sprintf "Add %d" k
+  | Remove i -> Printf.sprintf "Remove %d" i
+  | Measure -> "Measure"
+
+let differential_case =
+  QCheck.make
+    ~print:(fun (p_g, (p_h, peak), t_m, steps) ->
+      Printf.sprintf "gaussian %h, hoeffding %h peak %h, t_m %g: %s" p_g p_h
+        peak t_m
+        (String.concat "; " (List.map show_step steps)))
+    QCheck.Gen.(
+      let p_ce = map (fun e -> 10.0 ** -.e) (float_range 0.302 8.0) in
+      quad p_ce
+        (pair p_ce (float_range 0.1 8.0))
+        (oneofl [ 0.0; 5.0; 50.0 ])
+        (list_size (int_range 1 200)
+           (frequency
+              [ (5, map (fun k -> Add k) (int_range 0 4096));
+                (2, map (fun i -> Remove i) nat);
+                (3, return Measure) ])))
+
+let test_engine_matches_controllers =
+  qcheck ~count:200 "engine admissible == Controller.admissible" differential_case
+    (fun (p_g, (p_h, peak), t_m, steps) ->
+      let capacity = 100.0 in
+      let policies =
+        [ ("ce", Mbac.Policy.gaussian ~p_ce:p_g);
+          ("hoeffding", Mbac.Policy.hoeffding ~p_ce:p_h ~peak) ]
+      in
+      let e =
+        E.create
+          { E.capacity; criteria = policies;
+            estimator = Mbac.Estimator.ewma ~t_m; measure_every = 0 }
+      in
+      let controllers =
+        List.map
+          (fun (name, policy) ->
+            Mbac.Controller.of_policy ~name ~capacity policy
+              (Mbac.Estimator.ewma ~t_m))
+          policies
+      in
+      let loads = ref [] and now = ref 0.0 in
+      List.for_all
+        (function
+          | Add k ->
+              let load = float_of_int k /. 1024.0 in
+              loads := load :: !loads;
+              E.add e ~load ~now:!now;
+              true
+          | Remove i ->
+              (match !loads with
+              | [] -> ()
+              | l ->
+                  let j = i mod List.length l in
+                  E.subtract e ~load:(List.nth l j) ~now:!now;
+                  loads := List.filteri (fun k _ -> k <> j) l);
+              true
+          | Measure ->
+              now := !now +. 1.0;
+              E.run_measurement e ~now:!now;
+              let n = List.length !loads in
+              let obs =
+                Mbac.Observation.make ~now:!now ~n
+                  ~sum_rate:(List.fold_left ( +. ) 0.0 !loads)
+                  ~sum_sq:(List.fold_left (fun a l -> a +. (l *. l)) 0.0 !loads)
+              in
+              List.for_all2
+                (fun criterion c ->
+                  (* the engine observes occupied links only *)
+                  if n > 0 then Mbac.Controller.observe c obs;
+                  (E.decide e ~criterion ~load:0.0).E.admissible
+                  = Mbac.Controller.admissible c obs)
+                [ 0; 1 ] controllers)
+        steps)
+
+(* ---------- criterion specs ---------- *)
+
+let test_spec_rejects () =
+  List.iter
+    (fun spec ->
+      match Mbac_serve.Spec.criteria_of_string spec with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "criteria %S accepted" spec)
+    [ ""; "ce"; "ce:0"; "ce:0.6"; "ce:nan"; "ce:-0.1"; "hoeffding:0.01";
+      "hoeffding:0.01:0"; "hoeffding:0.01:-1"; "hoeffding:0.7:1";
+      "ce:0.01,bogus:1" ];
+  Alcotest.(check (list string)) "names are the entries"
+    [ "ce:0.5"; "hoeffding:0.01:2" ]
+    (List.map fst (Mbac_serve.Spec.criteria_of_string "ce:0.5, hoeffding:0.01:2"))
+
 (* ---------- cross-domain accounting smoke ---------- *)
 
 let test_parallel_accounting () =
@@ -182,4 +282,6 @@ let suite =
           test_handle_validation;
         test "loadgen replay is byte-identical" test_loadgen_replay_identical;
         test "parallel accounting is lock-free and exact"
-          test_parallel_accounting ] ) ]
+          test_parallel_accounting;
+        test_engine_matches_controllers;
+        test "criteria specs validate their policies" test_spec_rejects ] ) ]

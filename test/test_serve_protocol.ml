@@ -198,6 +198,87 @@ let test_error_reply_message_length () =
   | Error (P.Bad_frame _) -> ()
   | _ -> Alcotest.fail "mismatched Error_reply string length is Bad_frame"
 
+(* ---------- fuzzing ---------- *)
+
+(* Arbitrary bytes with an in-bounds window [pos, pos + avail).  Most
+   windows open with a real frame, whole or with a few bytes flipped, so
+   many of them reach the body decoders instead of stopping at the
+   header. *)
+let fuzz_input =
+  let open QCheck.Gen in
+  let encoded =
+    oneof
+      [ map
+          (fun r ->
+            let b = Buffer.create 64 in
+            P.encode_request b r;
+            Buffer.contents b)
+          gen_request;
+        map
+          (fun r ->
+            let b = Buffer.create 64 in
+            P.encode_response b r;
+            Buffer.contents b)
+          gen_response ]
+  in
+  let flip s =
+    list_size (int_range 1 3) (pair nat (int_range 1 255)) >|= fun flips ->
+    let b = Bytes.of_string s in
+    if Bytes.length b > 0 then
+      List.iter
+        (fun (i, x) ->
+          let i = i mod Bytes.length b in
+          Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor x))
+        flips;
+    Bytes.to_string b
+  in
+  let frame =
+    frequency
+      [ (2, encoded);
+        (2, encoded >>= flip);
+        (1, string_size (int_range 0 96)) ]
+  in
+  let window =
+    triple (string_size (int_range 0 16)) frame (string_size (int_range 0 16))
+    >>= fun (lead, frame, tail) ->
+    let s = lead ^ frame ^ tail in
+    let n = String.length s in
+    oneof [ return (String.length lead); int_range 0 n ] >>= fun pos ->
+    oneof [ return (n - pos); int_range 0 (n - pos) ] >|= fun avail ->
+    (s, pos, avail)
+  in
+  QCheck.make
+    ~print:(fun (s, pos, avail) ->
+      Printf.sprintf "%S pos %d avail %d" s pos avail)
+    window
+
+(* Decoding may depend only on the bytes in the window: flip every byte
+   outside it and the result must not change. *)
+let outside_flipped s ~pos ~avail =
+  Bytes.mapi
+    (fun i c ->
+      if i >= pos && i < pos + avail then c
+      else Char.chr (Char.code c lxor 0xA5))
+    (Bytes.of_string s)
+
+let fuzz name decode =
+  qcheck ~count:2000 name fuzz_input (fun (s, pos, avail) ->
+      let run b =
+        match decode b ~pos ~avail with
+        | r -> r
+        | exception e ->
+            QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      in
+      let r = run (Bytes.of_string s) in
+      (match r with
+      | Ok (_, consumed) when consumed > avail ->
+          QCheck.Test.fail_reportf "consumed %d of %d available" consumed avail
+      | Ok _ | Error _ -> ());
+      compare r (run (outside_flipped s ~pos ~avail)) = 0)
+
+let fuzz_request = fuzz "decode_request on arbitrary bytes" P.decode_request
+let fuzz_response = fuzz "decode_response on arbitrary bytes" P.decode_response
+
 let suite =
   [ ( "serve_protocol",
       [ roundtrip_request;
@@ -207,4 +288,6 @@ let suite =
         test "bad tags are typed errors" test_bad_tag;
         test "bad lengths are typed errors" test_bad_lengths;
         test "error-reply string length is validated"
-          test_error_reply_message_length ] ) ]
+          test_error_reply_message_length;
+        fuzz_request;
+        fuzz_response ] ) ]
